@@ -38,7 +38,6 @@ from .ifo import (
 )
 from .losses import (
     DegradationRow,
-    LossChain,
     LossElement,
     chain_efficiency,
     degradation_report,
@@ -74,7 +73,6 @@ __all__ = [
     "FrequencyGrid",
     "GEO600",
     "IfoConfig",
-    "LossChain",
     "LossElement",
     "NoiseSpectrum",
     "OracleVerdict",

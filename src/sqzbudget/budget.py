@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, require
 from .ifo import (
     FrequencyGrid,
     IfoConfig,
@@ -87,8 +87,7 @@ def total_noise(cfg: IfoConfig, grid: FrequencyGrid, sqz: float = 1.0) -> NoiseS
     ``sqz`` multiplies the quantum-noise amplitude: 1 for squeezing off,
     the squeezing factor otherwise. Sources add in quadrature.
     """
-    if not math.isfinite(sqz) or sqz <= 0.0:
-        raise DomainError(f"squeezing factor must be positive and finite, got {sqz!r}")
+    require(0.0 < sqz < math.inf, "squeezing factor", sqz, "must be > 0 and finite")
     shot = np.asarray(shot_noise_asd(cfg, grid.values))
     tech = np.asarray(technical_noise_asd(cfg, grid.values))
     quantum = sqz * shot
@@ -121,8 +120,7 @@ def improvement_db(
 
 def shot_limited_improvement_db(sqz: float) -> float:
     """Improvement where quantum noise dominates: -20*log10(sqz)."""
-    if not math.isfinite(sqz) or sqz <= 0.0:
-        raise DomainError(f"squeezing factor must be positive and finite, got {sqz!r}")
+    require(0.0 < sqz < math.inf, "squeezing factor", sqz, "must be > 0 and finite")
     return -20.0 * math.log10(sqz)
 
 
@@ -133,10 +131,8 @@ def detection_rate_gain(amplitude_ratio: float) -> float:
     a ratio r in amplitude sensitivity gains r^3 in rate. Multiplicative:
     gain(r1*r2) = gain(r1)*gain(r2).
     """
-    if not math.isfinite(amplitude_ratio) or amplitude_ratio <= 0.0:
-        raise DomainError(
-            f"amplitude ratio must be positive and finite, got {amplitude_ratio!r}"
-        )
+    rule = "must be > 0 and finite"
+    require(0.0 < amplitude_ratio < math.inf, "amplitude_ratio", amplitude_ratio, rule)
     return amplitude_ratio**3
 
 
@@ -151,8 +147,7 @@ def required_efficiency_for_improvement(target_db: float, level: SqueezeLevel) -
     Raises if the target is unreachable (it exceeds the injected level,
     so no passive efficiency suffices, or the input is not squeezed).
     """
-    if not math.isfinite(target_db) or target_db <= 0.0:
-        raise DomainError(f"target_db must be positive and finite, got {target_db!r}")
+    require(0.0 < target_db < math.inf, "target_db", target_db, "must be > 0 and finite")
     v_in = 10.0 ** (-level.squeeze_db / 10.0)
     if v_in >= 1.0:
         raise DomainError(
@@ -246,45 +241,29 @@ def _run_at(run: RunConfig, axis: str, value: float) -> RunConfig:
     return replace(run, sigma_jitter_rad=value)
 
 
-def _check_sweep_value(axis: str, index: int, value: float) -> None:
-    ok = math.isfinite(value)
-    if ok:
-        if axis == "eta":
-            ok = 0.0 < value <= 1.0
-        elif axis == "injected_db":
-            ok = value >= 0.0
-        else:
-            ok = value >= 0.0
-    if not ok:
-        bound = {
-            "eta": "(0, 1]",
-            "injected_db": ">= 0",
-            "sigma": ">= 0",
-        }[axis]
-        raise DomainError(
-            f"sweep value [{index}] = {value!r} is outside the {axis} "
-            f"domain {bound}"
-        )
-
-
 def sweep(run: RunConfig, axis: str, values) -> tuple[SweepRow, ...]:
     """Evaluate the budget along one parameter axis.
 
     ``axis`` is one of ``eta`` (overall efficiency), ``injected_db``
     (injected squeezing, anti-squeezing floored at the configured
-    level), or ``sigma`` (phase jitter RMS). Every value is validated
-    up front; an invalid one aborts the whole sweep naming its index.
+    level), or ``sigma`` (phase jitter RMS). Every value's RunConfig is
+    built up front, so an invalid value aborts the whole sweep naming
+    its index before any budget is evaluated.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}'; expected one of {SWEEP_AXES}")
     values = [float(v) for v in values]
     if len(values) == 0:
         raise ConfigError("sweep needs at least one value")
+    runs = []
     for i, v in enumerate(values):
-        _check_sweep_value(axis, i, v)
+        try:
+            runs.append(_run_at(run, axis, v))
+        except DomainError as exc:
+            raise DomainError(f"sweep {axis} value [{i}]: {exc}", *exc.keys) from None
     rows = []
-    for v in values:
-        report = build_report(_run_at(run, axis, v))
+    for v, run_v in zip(values, runs):
+        report = build_report(run_v)
         rows.append(
             SweepRow(
                 value=v,

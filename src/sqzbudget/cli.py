@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .budget import build_report, required_efficiency_for_improvement, sweep
+from .budget import SWEEP_AXES, build_report, required_efficiency_for_improvement, sweep
 from .config import default_config_text, default_run_config, load_config
 from .errors import ConfigError, DomainError
 from .losses import degradation_report
@@ -120,11 +120,11 @@ def _cmd_sweep(args) -> int:
     if rows and "csv" in formats:
         _write(args.out, "sweep.csv", sweep_csv(args.axis, rows))
     if "json" in formats:
-        _write(args.out, "sweep.json", sweep_json(args.axis or "", rows, extra))
+        _write(args.out, "sweep.json", sweep_json(args.axis, rows, extra))
     if rows:
         sys.stdout.write(sweep_csv(args.axis, rows))
     else:
-        sys.stdout.write(sweep_json(args.axis or "", rows, extra))
+        sys.stdout.write(sweep_json(args.axis, rows, extra))
     return EXIT_OK
 
 
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, formats=("csv", "json", "all"))
     p_sweep.add_argument(
         "--axis",
-        choices=("eta", "injected_db", "sigma"),
+        choices=SWEEP_AXES,
         default="eta",
         help="parameter to scan (default: eta)",
     )

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_efficiency, require
 from .ifo import FrequencyGrid, IfoConfig
 from .losses import LossElement
 from .quadrature import SqueezeLevel
@@ -23,7 +24,11 @@ _GRID_SPACINGS = ("log", "linear")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One complete budget run: instrument, source, losses, grid, band."""
+    """One complete budget run: instrument, source, losses, grid, band.
+
+    Checks its own fields and their cross-field rules on construction;
+    ``ifo``, ``level`` and each loss stage check theirs.
+    """
 
     ifo: IfoConfig = field(default_factory=IfoConfig)
     level: SqueezeLevel = SqueezeLevel(10.0, 15.0)
@@ -41,6 +46,37 @@ class RunConfig:
     grid_spacing: str = "log"
     band_min_hz: float = 1000.0
     band_max_hz: float = 5000.0
+
+    def __post_init__(self) -> None:
+        angle, sigma, eta = self.injection_angle_rad, self.sigma_jitter_rad, self.eta_total
+        require(math.isfinite(angle), "injection_angle_rad", angle, "must be finite")
+        require(0.0 <= sigma < math.inf, "sigma_jitter_rad", sigma, "must be >= 0 and finite")
+        stages = self.loss_stages
+        require(len(stages) > 0, "loss_stages", stages, "must name at least one stage")
+        if eta is not None:
+            check_efficiency("eta_total", eta)
+
+        lo, hi = self.f_min_hz, self.f_max_hz
+        require(0.0 < lo < math.inf, "f_min_hz", lo, "must be > 0 and finite")
+        rule = f"must be finite and > f_min_hz ({lo!r})"
+        require(lo < hi < math.inf, "f_max_hz", hi, rule, "f_min_hz")
+        points = self.grid_points
+        ok = isinstance(points, Integral) and points >= 2
+        require(ok, "grid_points", points, "must be an integer >= 2")
+        spacing = self.grid_spacing
+        rule = f"must be one of {_GRID_SPACINGS}"
+        require(spacing in _GRID_SPACINGS, "grid_spacing", spacing, rule)
+
+        # The band must be ordered and overlap the grid; the anchor must lie on it.
+        b_lo, b_hi = self.band_min_hz, self.band_max_hz
+        require(0.0 < b_lo < math.inf, "band_min_hz", b_lo, "must be > 0 and finite")
+        rule = f"must be finite and > band_min_hz ({b_lo!r})"
+        require(b_lo < b_hi < math.inf, "band_max_hz", b_hi, rule, "band_min_hz")
+        require(b_lo <= hi, "band_min_hz", b_lo, f"must be <= f_max_hz ({hi!r})", "f_max_hz")
+        require(b_hi >= lo, "band_max_hz", b_hi, f"must be >= f_min_hz ({lo!r})", "f_min_hz")
+        anchor = self.ifo.anchor_freq_hz
+        rule = f"must lie inside the grid [{lo!r}, {hi!r}]"
+        require(lo <= anchor <= hi, "anchor_freq_hz", anchor, rule, "f_min_hz", "f_max_hz")
 
     def grid(self) -> FrequencyGrid:
         if self.grid_spacing == "linear":
@@ -60,38 +96,16 @@ class RunConfig:
 
     def to_text(self) -> str:
         """Serialize to the flat config format; parses back equal."""
-        stages = ",".join(f"{e.name}:{e.efficiency!r}" for e in self.loss_stages)
-        eta = "none" if self.eta_total is None else repr(self.eta_total)
-        lines = [
-            "# instrument",
-            f"arm_length_eff = {self.ifo.arm_length_eff!r}",
-            f"power_bs = {self.ifo.power_bs!r}",
-            f"wavelength = {self.ifo.wavelength!r}",
-            f"sr_pole_hz = {self.ifo.sr_pole_hz!r}",
-            f"anchor_freq_hz = {self.ifo.anchor_freq_hz!r}",
-            f"anchor_asd = {self.ifo.anchor_asd!r}",
-            f"tech_displacement_asd = {self.ifo.tech_displacement_asd!r}",
-            f"tech_corner_hz = {self.ifo.tech_corner_hz!r}",
-            "",
-            "# squeezed source",
-            f"squeeze_db = {self.level.squeeze_db!r}",
-            f"antisqueeze_db = {self.level.antisqueeze_db!r}",
-            f"injection_angle_rad = {self.injection_angle_rad!r}",
-            f"sigma_jitter_rad = {self.sigma_jitter_rad!r}",
-            "",
-            "# losses: named stages, and the measured total that overrides",
-            "# their product when not 'none'",
-            f"loss_stages = {stages}",
-            f"eta_total = {eta}",
-            "",
-            "# analysis grid and summary band",
-            f"f_min_hz = {self.f_min_hz!r}",
-            f"f_max_hz = {self.f_max_hz!r}",
-            f"grid_points = {self.grid_points!r}",
-            f"grid_spacing = {self.grid_spacing}",
-            f"band_min_hz = {self.band_min_hz!r}",
-            f"band_max_hz = {self.band_max_hz!r}",
-        ]
+        lines = []
+        section = None
+        for key, key_section, owner, _ in _KEYS:
+            if key_section != section:
+                if section is not None:
+                    lines.append("")
+                lines.append(_SECTIONS[key_section])
+                section = key_section
+            value = getattr(_part(self, owner), key)
+            lines.append(f"{key} = {_format(value)}")
         return "\n".join(lines) + "\n"
 
 
@@ -105,110 +119,94 @@ def default_config_text() -> str:
     return default_run_config().to_text()
 
 
-def _cast_float(raw: str) -> float:
+def _cast_float(key: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"not a number: {raw!r}") from None
+        raise ConfigError(f"{key} = {raw!r} is not a number") from None
 
 
-def _cast_int(raw: str) -> int:
+def _cast_int(key: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"not an integer: {raw!r}") from None
+        raise ConfigError(f"{key} = {raw!r} is not an integer") from None
 
 
-def _positive(key: str, value: float) -> float:
-    if not math.isfinite(value) or value <= 0.0:
-        raise ConfigError(f"{key} = {value!r} violates bound: must be > 0 and finite")
-    return value
+def _cast_str(key: str, raw: str) -> str:
+    return raw
 
 
-def _non_negative(key: str, value: float) -> float:
-    if not math.isfinite(value) or value < 0.0:
-        raise ConfigError(f"{key} = {value!r} violates bound: must be >= 0 and finite")
-    return value
-
-
-def _unit_interval(key: str, value: float) -> float:
-    if not math.isfinite(value) or not 0.0 < value <= 1.0:
-        raise ConfigError(f"{key} = {value!r} violates bound: must lie in (0, 1]")
-    return value
-
-
-def _finite(key: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} = {value!r} violates bound: must be finite")
-    return value
-
-
-def _parse_eta_total(key: str, raw: str) -> float | None:
+def _cast_eta(key: str, raw: str) -> float | None:
     if raw.lower() == "none":
         return None
-    return _unit_interval(key, _cast_float(raw))
+    return _cast_float(key, raw)
 
 
-def _parse_loss_stages(key: str, raw: str) -> tuple[LossElement, ...]:
+def _cast_stages(key: str, raw: str) -> tuple[LossElement, ...]:
     stages = []
     for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            raise ConfigError(f"{key}: empty stage entry in {raw!r}")
-        name, sep, eff_raw = part.partition(":")
-        name = name.strip()
+        name, sep, eff_raw = (s.strip() for s in part.partition(":"))
         if not sep or not name:
             raise ConfigError(
-                f"{key}: stage {part!r} must have the form name:efficiency"
+                f"{key}: stage {part.strip()!r} in {raw!r} must have the form name:efficiency"
             )
-        eff = _unit_interval(f"{key}[{name}]", _cast_float(eff_raw.strip()))
-        stages.append(LossElement(name, eff))
-    if not stages:
-        raise ConfigError(f"{key} must name at least one stage")
+        try:
+            stages.append(LossElement(name, _cast_float(f"{key}[{name}]", eff_raw)))
+        except DomainError as exc:
+            raise ConfigError(f"{key}[{name}]: {exc}") from None
     return tuple(stages)
 
 
-# key -> value parser; each returns the validated value or raises
-# ConfigError naming the key and the violated bound.
-_KEY_PARSERS: dict[str, Callable[[str], object]] = {
-    "arm_length_eff": lambda raw: _positive("arm_length_eff", _cast_float(raw)),
-    "power_bs": lambda raw: _positive("power_bs", _cast_float(raw)),
-    "wavelength": lambda raw: _positive("wavelength", _cast_float(raw)),
-    "sr_pole_hz": lambda raw: _positive("sr_pole_hz", _cast_float(raw)),
-    "anchor_freq_hz": lambda raw: _positive("anchor_freq_hz", _cast_float(raw)),
-    "anchor_asd": lambda raw: _positive("anchor_asd", _cast_float(raw)),
-    "tech_displacement_asd": lambda raw: _non_negative(
-        "tech_displacement_asd", _cast_float(raw)
-    ),
-    "tech_corner_hz": lambda raw: _positive("tech_corner_hz", _cast_float(raw)),
-    "squeeze_db": lambda raw: _non_negative("squeeze_db", _cast_float(raw)),
-    "antisqueeze_db": lambda raw: _finite("antisqueeze_db", _cast_float(raw)),
-    "injection_angle_rad": lambda raw: _finite("injection_angle_rad", _cast_float(raw)),
-    "sigma_jitter_rad": lambda raw: _non_negative("sigma_jitter_rad", _cast_float(raw)),
-    "loss_stages": lambda raw: _parse_loss_stages("loss_stages", raw),
-    "eta_total": lambda raw: _parse_eta_total("eta_total", raw),
-    "f_min_hz": lambda raw: _positive("f_min_hz", _cast_float(raw)),
-    "f_max_hz": lambda raw: _positive("f_max_hz", _cast_float(raw)),
-    "grid_points": lambda raw: _grid_points(raw),
-    "grid_spacing": lambda raw: _grid_spacing(raw),
-    "band_min_hz": lambda raw: _positive("band_min_hz", _cast_float(raw)),
-    "band_max_hz": lambda raw: _positive("band_max_hz", _cast_float(raw)),
+def _format(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ",".join(f"{e.name}:{e.efficiency!r}" for e in value)
+    return repr(value)
+
+
+_SECTIONS = {
+    "instrument": "# instrument",
+    "source": "# squeezed source",
+    "losses": "# losses: named stages, and the measured total that overrides\n"
+    "# their product when not 'none'",
+    "grid": "# analysis grid and summary band",
 }
 
+# Every key exactly once: (key, section, owning dataclass, cast). The
+# order is the order ``to_text`` writes. Casts only turn text into the
+# field's type; the owning dataclass checks the value.
+_KEYS: tuple[tuple[str, str, type, Callable[[str, str], object]], ...] = (
+    ("arm_length_eff", "instrument", IfoConfig, _cast_float),
+    ("power_bs", "instrument", IfoConfig, _cast_float),
+    ("wavelength", "instrument", IfoConfig, _cast_float),
+    ("sr_pole_hz", "instrument", IfoConfig, _cast_float),
+    ("anchor_freq_hz", "instrument", IfoConfig, _cast_float),
+    ("anchor_asd", "instrument", IfoConfig, _cast_float),
+    ("tech_displacement_asd", "instrument", IfoConfig, _cast_float),
+    ("tech_corner_hz", "instrument", IfoConfig, _cast_float),
+    ("squeeze_db", "source", SqueezeLevel, _cast_float),
+    ("antisqueeze_db", "source", SqueezeLevel, _cast_float),
+    ("injection_angle_rad", "source", RunConfig, _cast_float),
+    ("sigma_jitter_rad", "source", RunConfig, _cast_float),
+    ("loss_stages", "losses", RunConfig, _cast_stages),
+    ("eta_total", "losses", RunConfig, _cast_eta),
+    ("f_min_hz", "grid", RunConfig, _cast_float),
+    ("f_max_hz", "grid", RunConfig, _cast_float),
+    ("grid_points", "grid", RunConfig, _cast_int),
+    ("grid_spacing", "grid", RunConfig, _cast_str),
+    ("band_min_hz", "grid", RunConfig, _cast_float),
+    ("band_max_hz", "grid", RunConfig, _cast_float),
+)
+_CASTS = {key: cast for key, _, _, cast in _KEYS}
 
-def _grid_points(raw: str) -> int:
-    value = _cast_int(raw)
-    if value < 2:
-        raise ConfigError(f"grid_points = {value!r} violates bound: must be >= 2")
-    return value
 
-
-def _grid_spacing(raw: str) -> str:
-    if raw not in _GRID_SPACINGS:
-        raise ConfigError(
-            f"grid_spacing = {raw!r} violates bound: must be one of {_GRID_SPACINGS}"
-        )
-    return raw
+def _part(run: RunConfig, owner: type):
+    """The object inside ``run`` whose fields ``owner`` declares."""
+    return {IfoConfig: run.ifo, SqueezeLevel: run.level}.get(owner, run)
 
 
 def _strip_comment(line: str) -> str:
@@ -220,9 +218,11 @@ def parse_config(text: str) -> RunConfig:
 
     Unset keys take their GEO 600 defaults. Raises ConfigError on
     unknown keys, duplicates, malformed lines, out-of-bound values, and
-    cross-field inconsistencies.
+    cross-field inconsistencies; a bound error names the line that set
+    the offending key.
     """
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line)
         if not line:
@@ -232,17 +232,23 @@ def parse_config(text: str) -> RunConfig:
         raw_value = raw_value.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
-        if key not in _KEY_PARSERS:
+        if key not in _CASTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         if not raw_value:
             raise ConfigError(f"line {lineno}: {key} has no value")
         try:
-            values[key] = _KEY_PARSERS[key](raw_value)
+            values[key] = _CASTS[key](key, raw_value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    return _build(values)
+        lines[key] = lineno
+    try:
+        return _build(values)
+    except DomainError as exc:
+        lineno = next((lines[k] for k in exc.keys if k in lines), None)
+        message = str(exc) if lineno is None else f"line {lineno}: {exc}"
+        raise ConfigError(message) from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -259,72 +265,17 @@ def load_config(path: str) -> RunConfig:
 
 
 def _build(values: dict[str, object]) -> RunConfig:
+    """Construct each owner from the parsed values, defaults elsewhere.
+
+    IfoConfig is built afresh rather than replaced, so its shot-noise
+    calibration follows the parsed anchor.
+    """
     defaults = default_run_config()
-
-    def get(key: str, fallback):
-        return values.get(key, fallback)
-
-    squeeze_db = get("squeeze_db", defaults.level.squeeze_db)
-    antisqueeze_db = get("antisqueeze_db", defaults.level.antisqueeze_db)
-    if antisqueeze_db < squeeze_db:
-        raise ConfigError(
-            f"antisqueeze_db = {antisqueeze_db!r} violates bound: must be "
-            f">= squeeze_db ({squeeze_db!r})"
-        )
-
-    f_min = get("f_min_hz", defaults.f_min_hz)
-    f_max = get("f_max_hz", defaults.f_max_hz)
-    if f_max <= f_min:
-        raise ConfigError(
-            f"f_max_hz = {f_max!r} violates bound: must be > f_min_hz ({f_min!r})"
-        )
-    band_min = get("band_min_hz", defaults.band_min_hz)
-    band_max = get("band_max_hz", defaults.band_max_hz)
-    if band_max <= band_min:
-        raise ConfigError(
-            f"band_max_hz = {band_max!r} violates bound: must be > "
-            f"band_min_hz ({band_min!r})"
-        )
-    if band_max < f_min or band_min > f_max:
-        raise ConfigError(
-            f"summary band [{band_min!r}, {band_max!r}] does not overlap the "
-            f"grid [{f_min!r}, {f_max!r}]"
-        )
-    anchor_freq = get("anchor_freq_hz", defaults.ifo.anchor_freq_hz)
-    if not f_min <= anchor_freq <= f_max:
-        raise ConfigError(
-            f"anchor_freq_hz = {anchor_freq!r} violates bound: must lie inside "
-            f"the grid [{f_min!r}, {f_max!r}]"
-        )
-
-    try:
-        ifo = IfoConfig(
-            arm_length_eff=get("arm_length_eff", defaults.ifo.arm_length_eff),
-            power_bs=get("power_bs", defaults.ifo.power_bs),
-            wavelength=get("wavelength", defaults.ifo.wavelength),
-            sr_pole_hz=get("sr_pole_hz", defaults.ifo.sr_pole_hz),
-            anchor_freq_hz=anchor_freq,
-            anchor_asd=get("anchor_asd", defaults.ifo.anchor_asd),
-            tech_displacement_asd=get(
-                "tech_displacement_asd", defaults.ifo.tech_displacement_asd
-            ),
-            tech_corner_hz=get("tech_corner_hz", defaults.ifo.tech_corner_hz),
-        )
-        level = SqueezeLevel(squeeze_db, antisqueeze_db)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-
+    fields: dict[type, dict[str, object]] = {IfoConfig: {}, SqueezeLevel: {}, RunConfig: {}}
+    for key, _, owner, _ in _KEYS:
+        fields[owner][key] = values.get(key, getattr(_part(defaults, owner), key))
     return RunConfig(
-        ifo=ifo,
-        level=level,
-        injection_angle_rad=get("injection_angle_rad", defaults.injection_angle_rad),
-        sigma_jitter_rad=get("sigma_jitter_rad", defaults.sigma_jitter_rad),
-        loss_stages=get("loss_stages", defaults.loss_stages),
-        eta_total=values.get("eta_total", defaults.eta_total),
-        f_min_hz=f_min,
-        f_max_hz=f_max,
-        grid_points=get("grid_points", defaults.grid_points),
-        grid_spacing=get("grid_spacing", defaults.grid_spacing),
-        band_min_hz=band_min,
-        band_max_hz=band_max,
+        ifo=IfoConfig(**fields[IfoConfig]),
+        level=SqueezeLevel(**fields[SqueezeLevel]),
+        **fields[RunConfig],
     )

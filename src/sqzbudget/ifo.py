@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .losses import LossElement, chain_efficiency
 from .quadrature import QuadratureState, apply_loss, dephase, readout_variance
 
@@ -30,13 +30,6 @@ from .quadrature import QuadratureState, apply_loss, dephase, readout_variance
 PLANCK_H = 6.62607015e-34  # J s
 SPEED_OF_LIGHT = 299792458.0  # m / s
 HBAR = PLANCK_H / (2.0 * math.pi)
-
-
-def _technical_scalar(cfg: "IfoConfig", f: float) -> float:
-    base = cfg.tech_displacement_asd / cfg.arm_length_eff
-    if f <= cfg.tech_corner_hz:
-        return base
-    return base * (cfg.tech_corner_hz / f) ** 2
 
 
 @dataclass(frozen=True)
@@ -78,31 +71,23 @@ class IfoConfig:
         )
         for name in positive:
             value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        if not math.isfinite(self.tech_displacement_asd) or self.tech_displacement_asd < 0.0:
-            raise DomainError(
-                f"tech_displacement_asd must be >= 0 and finite, "
-                f"got {self.tech_displacement_asd!r}"
-            )
+            require(0.0 < value < math.inf, name, value, "must be > 0 and finite")
+        tech = self.tech_displacement_asd
+        require(0.0 <= tech < math.inf, "tech_displacement_asd", tech, "must be >= 0 and finite")
         if self.shot_scale is None:
             object.__setattr__(self, "shot_scale", self._calibrate_shot_scale())
-        elif not math.isfinite(self.shot_scale) or self.shot_scale <= 0.0:
-            raise DomainError(
-                f"shot_scale must be positive and finite, got {self.shot_scale!r}"
-            )
+        else:
+            scale = self.shot_scale
+            require(0.0 < scale < math.inf, "shot_scale", scale, "must be > 0 and finite")
 
     def _calibrate_shot_scale(self) -> float:
         # Flat shot level such that sqrt(shot^2 + tech^2) at the anchor
         # frequency reproduces the anchor ASD exactly.
-        tech = _technical_scalar(self, self.anchor_freq_hz)
+        tech = technical_noise_asd(self, self.anchor_freq_hz)
         shot_power = self.anchor_asd**2 - tech**2
-        if shot_power <= 0.0:
-            raise DomainError(
-                f"anchor_asd = {self.anchor_asd!r} at {self.anchor_freq_hz!r} Hz "
-                f"lies at or below the technical-noise envelope ({tech!r}); "
-                f"no shot-noise level can reproduce it"
-            )
+        rule = f"must exceed the technical-noise envelope ({tech!r}) at {self.anchor_freq_hz!r} Hz"
+        related = ("anchor_freq_hz", "tech_displacement_asd", "tech_corner_hz", "arm_length_eff")
+        require(shot_power > 0.0, "anchor_asd", self.anchor_asd, rule, *related)
         rise = math.sqrt(1.0 + (self.anchor_freq_hz / self.sr_pole_hz) ** 2)
         flat = math.sqrt(shot_power) / rise
         return flat * self.arm_length_eff * math.sqrt(self.power_bs)
@@ -136,10 +121,6 @@ class IfoConfig:
     @property
     def anchor(self) -> tuple[float, float]:
         return (self.anchor_freq_hz, self.anchor_asd)
-
-
-# GEO 600 operating point used by the command line when no config is given.
-GEO600 = IfoConfig()
 
 
 @dataclass(frozen=True)
@@ -225,6 +206,10 @@ def technical_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
     envelope = np.where(arr <= cfg.tech_corner_hz, 1.0, (cfg.tech_corner_hz / arr) ** 2)
     out = base * envelope
     return float(out) if out.ndim == 0 else out
+
+
+# GEO 600 operating point used by the command line when no config is given.
+GEO600 = IfoConfig()
 
 
 def first_principles_flat_level(cfg: IfoConfig) -> float:

@@ -8,11 +8,10 @@ columns read as light propagates through the chain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, check_efficiency
 from .quadrature import SqueezeLevel, apply_loss, state_from_db, variance_to_db
 
 
@@ -26,15 +25,7 @@ class LossElement:
     def __post_init__(self) -> None:
         if not self.name or not self.name.strip():
             raise ConfigError("loss element name must be non-empty")
-        eff = self.efficiency
-        if not math.isfinite(eff) or not 0.0 < eff <= 1.0:
-            raise DomainError(
-                f"efficiency of loss element '{self.name}' must lie in "
-                f"(0, 1], got {eff!r}"
-            )
-
-
-LossChain = tuple[LossElement, ...]
+        check_efficiency("efficiency", self.efficiency)
 
 
 def chain_efficiency(chain: Sequence[LossElement]) -> float:

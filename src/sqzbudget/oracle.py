@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_efficiency, require
 from .quadrature import QuadratureState, apply_loss, dephase, readout_variance
 
 # Acceptance window on the z-score of the variance estimate.
@@ -51,10 +51,6 @@ class OracleVerdict:
     passed: bool
 
 
-def _se(estimate: float, n: int) -> float:
-    return estimate * math.sqrt(2.0 / (n - 1))
-
-
 def sample_lossy_squeezed(
     v_sq: float,
     efficiency: float,
@@ -76,34 +72,7 @@ def sample_lossy_squeezed(
     ``v_anti`` defaults to the minimum-uncertainty partner of ``v_sq``;
     it only matters when the angle or the jitter is nonzero.
     """
-    if not math.isfinite(v_sq) or v_sq <= 0.0:
-        raise DomainError(f"v_sq must be positive and finite, got {v_sq!r}")
-    if not math.isfinite(efficiency) or not 0.0 < efficiency <= 1.0:
-        raise DomainError(f"efficiency must lie in (0, 1], got {efficiency!r}")
-    if not math.isfinite(sigma_jitter) or sigma_jitter < 0.0:
-        raise DomainError(f"sigma_jitter must be >= 0, got {sigma_jitter!r}")
-    if n_samples < 2:
-        raise DomainError(f"n_samples must be >= 2, got {n_samples!r}")
-    if v_anti is None:
-        v_anti = max(v_sq, 1.0 / v_sq)
-    elif not math.isfinite(v_anti) or v_anti < v_sq:
-        raise DomainError(f"v_anti must be >= v_sq, got {v_anti!r}")
-
-    rng = np.random.default_rng(seed)
-    if angle != 0.0 or sigma_jitter > 0.0:
-        theta = angle + sigma_jitter * rng.standard_normal(n_samples)
-        projected = v_sq * np.cos(theta) ** 2 + v_anti * np.sin(theta) ** 2
-    else:
-        projected = v_sq
-    field = np.sqrt(projected) * rng.standard_normal(n_samples)
-    mixed = math.sqrt(efficiency) * field + math.sqrt(1.0 - efficiency) * rng.standard_normal(n_samples)
-    estimate = float(np.var(mixed, ddof=1))
-    return SampleRun(
-        n_samples=n_samples,
-        seed=seed,
-        estimated_variance=estimate,
-        standard_error=_se(estimate, n_samples),
-    )
+    return _sample(v_sq, (efficiency,), n_samples, seed, v_anti, angle, sigma_jitter)
 
 
 def sample_two_stage(
@@ -119,26 +88,46 @@ def sample_two_stage(
     In distribution this must match a single splitter with the product
     efficiency; used to check that losses compose multiplicatively.
     """
-    for name, eta in (
-        ("efficiency_first", efficiency_first),
-        ("efficiency_second", efficiency_second),
-    ):
-        if not math.isfinite(eta) or not 0.0 < eta <= 1.0:
-            raise DomainError(f"{name} must lie in (0, 1], got {eta!r}")
-    if not math.isfinite(v_sq) or v_sq <= 0.0:
-        raise DomainError(f"v_sq must be positive and finite, got {v_sq!r}")
-    if n_samples < 2:
-        raise DomainError(f"n_samples must be >= 2, got {n_samples!r}")
+    return _sample(v_sq, (efficiency_first, efficiency_second), n_samples, seed)
+
+
+def _sample(
+    v_sq: float,
+    efficiencies: tuple[float, ...],
+    n_samples: int,
+    seed: int,
+    v_anti: float | None = None,
+    angle: float = 0.0,
+    sigma_jitter: float = 0.0,
+) -> SampleRun:
+    # One body for both samplers: jitter draws (if any), the field, then
+    # one vacuum draw per beam splitter, in that order on one stream.
+    require(0.0 < v_sq < math.inf, "v_sq", v_sq, "must be > 0 and finite")
+    for i, efficiency in enumerate(efficiencies):
+        check_efficiency(f"efficiencies[{i}]", efficiency)
+    require(0.0 <= sigma_jitter < math.inf, "sigma_jitter", sigma_jitter, "must be >= 0 and finite")
+    require(n_samples >= 2, "n_samples", n_samples, "must be >= 2")
+    if v_anti is None:
+        v_anti = max(v_sq, 1.0 / v_sq)
+    require(v_sq <= v_anti < math.inf, "v_anti", v_anti, f"must be finite and >= v_sq ({v_sq!r})")
+
     rng = np.random.default_rng(seed)
-    field = math.sqrt(v_sq) * rng.standard_normal(n_samples)
-    once = math.sqrt(efficiency_first) * field + math.sqrt(1.0 - efficiency_first) * rng.standard_normal(n_samples)
-    twice = math.sqrt(efficiency_second) * once + math.sqrt(1.0 - efficiency_second) * rng.standard_normal(n_samples)
-    estimate = float(np.var(twice, ddof=1))
+    if angle != 0.0 or sigma_jitter > 0.0:
+        theta = angle + sigma_jitter * rng.standard_normal(n_samples)
+        projected = v_sq * np.cos(theta) ** 2 + v_anti * np.sin(theta) ** 2
+    else:
+        projected = v_sq
+    mixed = np.sqrt(projected) * rng.standard_normal(n_samples)
+    for efficiency in efficiencies:
+        # The vacuum draw stays unnamed so numpy reuses its buffer in place.
+        keep, leak = math.sqrt(efficiency), math.sqrt(1.0 - efficiency)
+        mixed = keep * mixed + leak * rng.standard_normal(n_samples)
+    estimate = float(np.var(mixed, ddof=1))
     return SampleRun(
         n_samples=n_samples,
         seed=seed,
         estimated_variance=estimate,
-        standard_error=_se(estimate, n_samples),
+        standard_error=estimate * math.sqrt(2.0 / (n_samples - 1)),
     )
 
 
@@ -148,8 +137,7 @@ def oracle_compare(name: str, analytic: float, run: SampleRun) -> OracleVerdict:
     Passes when the estimate lies within Z_MAX standard errors of the
     analytic value.
     """
-    if not math.isfinite(analytic) or analytic <= 0.0:
-        raise DomainError(f"analytic variance must be positive, got {analytic!r}")
+    require(0.0 < analytic < math.inf, "analytic variance", analytic, "must be > 0 and finite")
     z = (run.estimated_variance - analytic) / run.standard_error
     return OracleVerdict(
         name=name,
@@ -168,10 +156,7 @@ def standard_suite(seed: int = 42, n_samples: int = 1_000_000) -> tuple[OracleVe
     form. Seeds for the individual runs are derived from ``seed`` by
     fixed offsets, so the whole suite is reproducible from one number.
     """
-    if n_samples < 10_000:
-        raise DomainError(
-            f"oracle verdicts need n_samples >= 10000, got {n_samples!r}"
-        )
+    require(n_samples >= 10_000, "n_samples", n_samples, "oracle verdicts need >= 10000")
 
     def loss_variance(v: float, eta: float) -> float:
         return v + (1.0 - eta) * (1.0 - v)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_efficiency, require
 
 # Constructor tolerance on the uncertainty product. Pure states built from
 # matched dB levels can land at 1 - O(ulp) after rounding.
@@ -52,20 +52,10 @@ class SqueezeLevel:
     antisqueeze_db: float
 
     def __post_init__(self) -> None:
-        for name in ("squeeze_db", "antisqueeze_db"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-        if self.squeeze_db < 0.0:
-            raise DomainError(
-                f"squeeze_db must be >= 0 (positive dB means below vacuum), "
-                f"got {self.squeeze_db!r}"
-            )
-        if self.antisqueeze_db < self.squeeze_db:
-            raise DomainError(
-                f"antisqueeze_db must be >= squeeze_db, got "
-                f"{self.antisqueeze_db!r} < {self.squeeze_db!r}"
-            )
+        sqz, anti = self.squeeze_db, self.antisqueeze_db
+        require(0.0 <= sqz < math.inf, "squeeze_db", sqz, "must be >= 0 and finite")
+        rule = f"must be finite and >= squeeze_db ({sqz!r})"
+        require(sqz <= anti < math.inf, "antisqueeze_db", anti, rule, "squeeze_db")
 
 
 @dataclass(frozen=True)
@@ -124,8 +114,7 @@ def db_to_variance(db: float) -> float:
     Positive dB means below vacuum: 10 dB -> 0.1. The inverse of
     :func:`variance_to_db`.
     """
-    if not math.isfinite(db):
-        raise DomainError(f"db must be finite, got {db!r}")
+    require(math.isfinite(db), "db", db, "must be finite")
     return 10.0 ** (-db / 10.0)
 
 
@@ -134,8 +123,7 @@ def variance_to_db(v: float) -> float:
 
     Positive for variances below vacuum: 0.44 -> 3.56 dB.
     """
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"variance must be positive and finite, got {v!r}")
+    require(0.0 < v < math.inf, "variance", v, "must be > 0 and finite")
     return -10.0 * math.log10(v)
 
 
@@ -154,8 +142,7 @@ def state_from_db(level: SqueezeLevel, angle: float = 0.0) -> QuadratureState:
 
 def rotate(state: QuadratureState, delta: float) -> QuadratureState:
     """Advance the squeezed-axis orientation by ``delta`` radians."""
-    if not math.isfinite(delta):
-        raise DomainError(f"rotation angle must be finite, got {delta!r}")
+    require(math.isfinite(delta), "rotation angle", delta, "must be finite")
     return QuadratureState(state.v_sq, state.v_anti, state.angle + delta)
 
 
@@ -167,10 +154,7 @@ def apply_loss(state: QuadratureState, efficiency: float) -> QuadratureState:
     vacuum fixed point is exact in floating point. The orientation is
     unchanged; the Heisenberg product can only grow.
     """
-    if not math.isfinite(efficiency) or not 0.0 < efficiency <= 1.0:
-        raise DomainError(
-            f"efficiency must lie in (0, 1], got {efficiency!r}"
-        )
+    check_efficiency("efficiency", efficiency)
     keep = 1.0 - efficiency
     return QuadratureState(
         state.v_sq + keep * (1.0 - state.v_sq),
@@ -187,8 +171,7 @@ def readout_variance(state: QuadratureState, theta: float = 0.0) -> float:
     offset accounts for the state's own orientation. For an isotropic
     state the projection is the common variance, returned exactly.
     """
-    if not math.isfinite(theta):
-        raise DomainError(f"readout angle must be finite, got {theta!r}")
+    require(math.isfinite(theta), "readout angle", theta, "must be finite")
     if state.v_sq == state.v_anti:
         return state.v_sq
     rel = theta - state.angle
@@ -212,8 +195,7 @@ def dephase(state: QuadratureState, sigma: float) -> QuadratureState:
     readout variance at every angle equals the jitter average of the
     input's readout variance.
     """
-    if not math.isfinite(sigma) or sigma < 0.0:
-        raise DomainError(f"sigma must be >= 0 and finite, got {sigma!r}")
+    require(0.0 <= sigma < math.inf, "sigma", sigma, "must be >= 0 and finite")
     if sigma == 0.0 or state.v_sq == state.v_anti:
         return state
     c = math.exp(-2.0 * sigma * sigma)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .budget import BudgetReport, SweepRow
 from .losses import DegradationRow
-from .oracle import OracleVerdict
+from .oracle import Z_MAX, OracleVerdict
 from .svgplot import Trace, render_loglog
 
 SCHEMA_VERSION = 1
@@ -204,7 +204,7 @@ def sweep_json(axis: str, rows: Sequence[SweepRow], extra: dict | None = None) -
 def oracle_json(verdicts: Sequence[OracleVerdict]) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "z_max": 3.0,
+        "z_max": Z_MAX,
         "all_passed": all(v.passed for v in verdicts),
         "checks": [
             {

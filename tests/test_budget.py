@@ -233,6 +233,18 @@ class TestSweep:
         with pytest.raises(DomainError, match=r"\[2\]"):
             sweep(default_run_config(), "eta", [0.5, 0.7, 1.3])
 
+    @pytest.mark.parametrize(
+        "axis, bad, field",
+        [
+            ("eta", 0.0, "eta_total"),
+            ("injected_db", -1.0, "squeeze_db"),
+            ("sigma", math.nan, "sigma_jitter_rad"),
+        ],
+    )
+    def test_invalid_value_names_index_and_field(self, axis, bad, field):
+        with pytest.raises(DomainError, match=rf"{axis} value \[1\]: {field} = {bad!r} violates"):
+            sweep(default_run_config(), axis, [0.5, bad, 0.6])
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):
             sweep(default_run_config(), "wavelength", [1e-6])

@@ -1,16 +1,22 @@
 """Config parsing: defaults, overrides, strict rejection, round trips."""
 
+import math
+
 import pytest
 
 from sqzbudget import (
     ConfigError,
+    DomainError,
+    IfoConfig,
     LossElement,
+    RunConfig,
     build_report,
     default_config_text,
     default_run_config,
     load_config,
     parse_config,
 )
+from sqzbudget.cli import EXIT_CONFIG, main
 
 
 def test_empty_text_gives_the_preset():
@@ -123,6 +129,93 @@ class TestRejection:
     def test_negative_sigma(self):
         with pytest.raises(ConfigError, match="sigma_jitter_rad"):
             parse_config("sigma_jitter_rad = -0.1")
+
+    # (config text, key named, bound, offending value, line that set it):
+    # one case per key bound, then one per cross-field rule.
+    BOUND_CASES = [
+        ("arm_length_eff = 0", "arm_length_eff", "> 0 and finite", "0.0", 1),
+        ("power_bs = -1", "power_bs", "> 0 and finite", "-1.0", 1),
+        ("wavelength = inf", "wavelength", "> 0 and finite", "inf", 1),
+        ("sr_pole_hz = 0", "sr_pole_hz", "> 0 and finite", "0.0", 1),
+        ("anchor_freq_hz = -3", "anchor_freq_hz", "> 0 and finite", "-3.0", 1),
+        ("anchor_asd = 0", "anchor_asd", "> 0 and finite", "0.0", 1),
+        ("tech_displacement_asd = -1e-20", "tech_displacement_asd", ">= 0", "-1e-20", 1),
+        ("tech_corner_hz = nan", "tech_corner_hz", "> 0 and finite", "nan", 1),
+        ("squeeze_db = -1", "squeeze_db", ">= 0 and finite", "-1.0", 1),
+        ("antisqueeze_db = nan", "antisqueeze_db", "finite", "nan", 1),
+        ("injection_angle_rad = inf", "injection_angle_rad", "finite", "inf", 1),
+        ("sigma_jitter_rad = -0.1", "sigma_jitter_rad", ">= 0 and finite", "-0.1", 1),
+        ("loss_stages = a:0.9,srm:1.4", "loss_stages[srm]", "(0, 1]", "1.4", 1),
+        ("eta_total = 1.3", "eta_total", "(0, 1]", "1.3", 1),
+        ("eta_total = 0", "eta_total", "(0, 1]", "0.0", 1),
+        ("f_min_hz = 0", "f_min_hz", "> 0 and finite", "0.0", 1),
+        ("f_max_hz = inf", "f_max_hz", "finite", "inf", 1),
+        ("grid_points = 1", "grid_points", ">= 2", "1", 1),
+        ("grid_spacing = cubic", "grid_spacing", "one of ('log', 'linear')", "'cubic'", 1),
+        ("band_min_hz = -1", "band_min_hz", "> 0 and finite", "-1.0", 1),
+        ("band_max_hz = inf", "band_max_hz", "finite", "inf", 1),
+        # cross-field rules
+        ("squeeze_db = 12\nantisqueeze_db = 11", "antisqueeze_db", "squeeze_db (12.0)", "11.0", 2),
+        ("antisqueeze_db = 11\nsqueeze_db = 12", "antisqueeze_db", "squeeze_db (12.0)", "11.0", 1),
+        ("squeeze_db = 16", "antisqueeze_db", ">= squeeze_db (16.0)", "15.0", 1),
+        ("f_min_hz = 5000\nf_max_hz = 500", "f_max_hz", "> f_min_hz (5000.0)", "500.0", 2),
+        ("band_max_hz = 500", "band_max_hz", "> band_min_hz (1000.0)", "500.0", 1),
+        ("f_max_hz = 100", "band_min_hz", "<= f_max_hz (100.0)", "1000.0", 1),
+        ("band_min_hz = 1\nband_max_hz = 5", "band_max_hz", ">= f_min_hz (10.0)", "5.0", 2),
+        ("f_max_hz = 8000\nanchor_freq_hz = 9000", "anchor_freq_hz", "[10.0, 8000.0]", "9000.0", 2),
+        ("anchor_asd = 4.0e-23", "anchor_asd", "exceed the technical-noise", "4e-23", 1),
+        ("# noisier\ntech_displacement_asd = 1e-16", "anchor_asd", "noise envelope", "1e-21", 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "text, key, bound, value, line", BOUND_CASES, ids=[c[0] for c in BOUND_CASES]
+    )
+    def test_bound_message_names_key_bound_value_and_line(
+        self, text, key, bound, value, line, tmp_path, capsys
+    ):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        message = str(info.value)
+        assert message.startswith(f"line {line}: ")
+        assert f"{key}: efficiency = {value}" in message or f"{key} = {value}" in message
+        assert bound in message
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert main(["budget", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_rules_are_checked_on_the_whole_file_not_per_line(self):
+        # 16 dB alone breaks antisqueeze_db >= squeeze_db against the
+        # default 15 dB; the next line repairs it.
+        cfg = parse_config("squeeze_db = 16\nantisqueeze_db = 20\n")
+        assert (cfg.level.squeeze_db, cfg.level.antisqueeze_db) == (16.0, 20.0)
+
+
+# field -> (overrides, offending value): each violates one RunConfig rule.
+BAD_RUN_FIELDS = {
+    "grid_spacing": ({"grid_spacing": "cubic"}, "cubic"),
+    "sigma_jitter_rad": ({"sigma_jitter_rad": -0.1}, -0.1),
+    "injection_angle_rad": ({"injection_angle_rad": math.inf}, math.inf),
+    "eta_total": ({"eta_total": 1.3}, 1.3),
+    "loss_stages": ({"loss_stages": ()}, ()),
+    "f_min_hz": ({"f_min_hz": 0.0}, 0.0),
+    "f_max_hz": ({"f_max_hz": 5.0}, 5.0),
+    "grid_points": ({"grid_points": 1}, 1),
+    "band_min_hz": ({"band_min_hz": 20000.0, "band_max_hz": 30000.0}, 20000.0),
+    "band_max_hz": ({"band_min_hz": 1.0, "band_max_hz": 5.0}, 5.0),
+    "anchor_freq_hz": ({"ifo": IfoConfig(anchor_freq_hz=12000.0)}, 12000.0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_RUN_FIELDS))
+def test_run_config_rejects_bad_field_at_construction(field):
+    overrides, value = BAD_RUN_FIELDS[field]
+    with pytest.raises(DomainError) as info:
+        RunConfig(**overrides)
+    assert info.value.keys[0] == field
+    assert str(info.value).startswith(f"{field} = {value!r} violates bound")
 
 
 def test_load_config_reads_files(tmp_path):
