@@ -64,50 +64,3 @@ from .quadrature import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetReport",
-    "ConfigError",
-    "DegradationRow",
-    "DomainError",
-    "FrequencyGrid",
-    "GEO600",
-    "IfoConfig",
-    "LossElement",
-    "NoiseSpectrum",
-    "OracleVerdict",
-    "QuadratureState",
-    "RunConfig",
-    "SampleRun",
-    "SqueezeLevel",
-    "SweepRow",
-    "anchored_flat_level",
-    "apply_loss",
-    "build_report",
-    "chain_efficiency",
-    "db_to_variance",
-    "default_config_text",
-    "default_run_config",
-    "degradation_report",
-    "dephase",
-    "detection_rate_gain",
-    "first_principles_flat_level",
-    "improvement_db",
-    "load_config",
-    "oracle_compare",
-    "parse_config",
-    "readout_variance",
-    "required_efficiency_for_improvement",
-    "rotate",
-    "sample_lossy_squeezed",
-    "sample_two_stage",
-    "shot_limited_improvement_db",
-    "shot_noise_asd",
-    "squeezing_factor",
-    "standard_suite",
-    "state_from_db",
-    "sweep",
-    "total_noise",
-    "vacuum",
-    "variance_to_db",
-]

@@ -32,7 +32,7 @@ from .ifo import (
     technical_noise_asd,
 )
 from .losses import DegradationRow, chain_efficiency, degradation_report
-from .quadrature import SqueezeLevel, state_from_db
+from .quadrature import SqueezeLevel, db_to_variance, state_from_db
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def required_efficiency_for_improvement(target_db: float, level: SqueezeLevel) -
     so no passive efficiency suffices, or the input is not squeezed).
     """
     require(0.0 < target_db < math.inf, "target_db", target_db, "must be > 0 and finite")
-    v_in = 10.0 ** (-level.squeeze_db / 10.0)
+    v_in = db_to_variance(level.squeeze_db)
     if v_in >= 1.0:
         raise DomainError(
             "injected level is not squeezed (squeeze_db = 0); no efficiency helps"
@@ -158,8 +158,7 @@ def required_efficiency_for_improvement(target_db: float, level: SqueezeLevel) -
             f"target of {target_db!r} dB exceeds the injected "
             f"{level.squeeze_db!r} dB; unreachable at any efficiency"
         )
-    v_target = 10.0 ** (-target_db / 10.0)
-    return (1.0 - v_target) / (1.0 - v_in)
+    return (1.0 - db_to_variance(target_db)) / (1.0 - v_in)
 
 
 @dataclass(frozen=True)
@@ -198,6 +197,7 @@ def build_report(run: RunConfig) -> BudgetReport:
     )
     per_bin = per_bin.copy()
     per_bin.setflags(write=False)
+    ledger = degradation_report(run.level, run.loss_stages)
     anchor_f = run.ifo.anchor_freq_hz
     anchor_total = math.hypot(
         float(shot_noise_asd(run.ifo, anchor_f)),
@@ -213,8 +213,8 @@ def build_report(run: RunConfig) -> BudgetReport:
         squeezing_factor=sqz,
         rate_gain=detection_rate_gain(1.0 / sqz),
         eta_effective=chain_efficiency(chain),
-        eta_stage_product=chain_efficiency(run.loss_stages),
-        ledger=degradation_report(run.level, run.loss_stages),
+        eta_stage_product=ledger[-1].eta_cumulative,
+        ledger=ledger,
         anchor_computed_asd=anchor_total,
     )
 

@@ -189,8 +189,7 @@ def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
     anchor calibration. Units: strain / sqrt(Hz).
     """
     arr = _as_positive_freq(f)
-    flat = cfg.shot_scale / (cfg.arm_length_eff * math.sqrt(cfg.power_bs))
-    out = flat * np.sqrt(1.0 + (arr / cfg.sr_pole_hz) ** 2)
+    out = anchored_flat_level(cfg) * np.sqrt(1.0 + (arr / cfg.sr_pole_hz) ** 2)
     return float(out) if out.ndim == 0 else out
 
 

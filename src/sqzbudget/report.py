@@ -1,8 +1,9 @@
 """Output emitters: CSV spectra, JSON summary, SVG plot, ledger table.
 
 All numbers are written with 9 significant digits and all JSON keys are
-sorted, so identical runs produce byte-identical files. Nothing here
-writes timestamps, hostnames, or absolute paths.
+sorted, so identical runs produce byte-identical files. ``to_json`` and
+``_csv`` apply that rule, so the emitters hand them raw values. Nothing
+here writes timestamps, hostnames, or absolute paths.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ def fmt9(value: float) -> str:
     return f"{float(value):.9g}"
 
 
+def _csv(head: Sequence[str], rows) -> str:
+    """Header lines, then one comma-joined line per row.
+
+    Numbers are written with ``fmt9``; strings pass through unchanged.
+    """
+    # An exact type test: isinstance is slower on the numpy scalar cells.
+    body = [",".join([v if type(v) is str else fmt9(v) for v in row]) for row in rows]
+    return "\n".join([*head, *body]) + "\n"
+
+
 def budget_csv(report: BudgetReport) -> str:
     """Spectra table: one row per grid point.
 
@@ -37,7 +48,7 @@ def budget_csv(report: BudgetReport) -> str:
     (strain * arm_length_eff, m/sqrt(Hz)).
     """
     arm = report.run.ifo.arm_length_eff
-    lines = [
+    head = [
         "# strain noise budget",
         f"# {DB_CONVENTIONS}",
         "# disp columns: total strain referred to displacement "
@@ -46,22 +57,17 @@ def budget_csv(report: BudgetReport) -> str:
     ]
     off = report.spectrum_off
     on = report.spectrum_on
-    for i, f in enumerate(off.grid.values):
-        lines.append(
-            ",".join(
-                (
-                    fmt9(f),
-                    fmt9(off.total[i]),
-                    fmt9(on.total[i]),
-                    fmt9(report.improvement_db[i]),
-                    fmt9(off.quantum[i]),
-                    fmt9(off.tech[i]),
-                    fmt9(off.total[i] * arm),
-                    fmt9(on.total[i] * arm),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    columns = (
+        off.grid.values,
+        off.total,
+        on.total,
+        report.improvement_db,
+        off.quantum,
+        off.tech,
+        off.total * arm,
+        on.total * arm,
+    )
+    return _csv(head, zip(*columns))
 
 
 def ledger_csv(rows: Sequence[DegradationRow], eta_effective: float | None = None) -> str:
@@ -70,93 +76,77 @@ def ledger_csv(rows: Sequence[DegradationRow], eta_effective: float | None = Non
     When a measured overall efficiency overrides the stage product, a
     trailing comment records both numbers.
     """
-    lines = [
-        "stage,efficiency,eta_cumulative,v_sq_cumulative,squeeze_db_cumulative",
-    ]
-    product = 1.0
-    for row in rows:
-        product *= row.efficiency
-        lines.append(
-            ",".join(
-                (
-                    row.name,
-                    fmt9(row.efficiency),
-                    fmt9(row.eta_cumulative),
-                    fmt9(row.v_sq_cumulative),
-                    fmt9(row.squeeze_db_cumulative),
-                )
-            )
-        )
+    head = ["stage,efficiency,eta_cumulative,v_sq_cumulative,squeeze_db_cumulative"]
+    # DegradationRow declares its fields in column order.
+    text = _csv(head, (vars(row).values() for row in rows))
+    product = rows[-1].eta_cumulative if rows else 1.0
     if eta_effective is not None and eta_effective != product:
-        lines.append(
+        text += (
             f"# budget uses measured eta_total = {fmt9(eta_effective)} "
-            f"(stage product {fmt9(product)})"
+            f"(stage product {fmt9(product)})\n"
         )
-    return "\n".join(lines) + "\n"
-
-
-def _round9(value: float) -> float:
-    return float(fmt9(value))
+    return text
 
 
 def summary_dict(report: BudgetReport) -> dict:
-    """JSON-ready summary of one budget evaluation."""
+    """JSON-ready summary of one budget evaluation (unrounded values)."""
     run = report.run
     return {
         "schema_version": SCHEMA_VERSION,
         "db_conventions": DB_CONVENTIONS,
         "instrument": {
-            "arm_length_eff_m": _round9(run.ifo.arm_length_eff),
-            "power_bs_w": _round9(run.ifo.power_bs),
-            "wavelength_m": _round9(run.ifo.wavelength),
-            "sr_pole_hz": _round9(run.ifo.sr_pole_hz),
-            "tech_displacement_asd": _round9(run.ifo.tech_displacement_asd),
-            "tech_corner_hz": _round9(run.ifo.tech_corner_hz),
+            "arm_length_eff_m": run.ifo.arm_length_eff,
+            "power_bs_w": run.ifo.power_bs,
+            "wavelength_m": run.ifo.wavelength,
+            "sr_pole_hz": run.ifo.sr_pole_hz,
+            "tech_displacement_asd": run.ifo.tech_displacement_asd,
+            "tech_corner_hz": run.ifo.tech_corner_hz,
         },
         "anchor": {
-            "freq_hz": _round9(run.ifo.anchor_freq_hz),
-            "asd": _round9(run.ifo.anchor_asd),
-            "computed_asd": _round9(report.anchor_computed_asd),
+            "freq_hz": run.ifo.anchor_freq_hz,
+            "asd": run.ifo.anchor_asd,
+            "computed_asd": report.anchor_computed_asd,
         },
         "injected": {
-            "squeeze_db": _round9(run.level.squeeze_db),
-            "antisqueeze_db": _round9(run.level.antisqueeze_db),
-            "injection_angle_rad": _round9(run.injection_angle_rad),
-            "sigma_jitter_rad": _round9(run.sigma_jitter_rad),
+            "squeeze_db": run.level.squeeze_db,
+            "antisqueeze_db": run.level.antisqueeze_db,
+            "injection_angle_rad": run.injection_angle_rad,
+            "sigma_jitter_rad": run.sigma_jitter_rad,
         },
         "losses": {
-            "eta_effective": _round9(report.eta_effective),
-            "eta_stage_product": _round9(report.eta_stage_product),
-            "eta_total_override": (
-                None if run.eta_total is None else _round9(run.eta_total)
-            ),
-            "stages": [
-                {
-                    "name": row.name,
-                    "efficiency": _round9(row.efficiency),
-                    "eta_cumulative": _round9(row.eta_cumulative),
-                    "v_sq_cumulative": _round9(row.v_sq_cumulative),
-                    "squeeze_db_cumulative": _round9(row.squeeze_db_cumulative),
-                }
-                for row in report.ledger
-            ],
+            "eta_effective": report.eta_effective,
+            "eta_stage_product": report.eta_stage_product,
+            "eta_total_override": run.eta_total,
+            "stages": [dict(vars(row)) for row in report.ledger],  # not the rows' own dicts
         },
         "grid": {
-            "f_min_hz": _round9(run.f_min_hz),
-            "f_max_hz": _round9(run.f_max_hz),
+            "f_min_hz": run.f_min_hz,
+            "f_max_hz": run.f_max_hz,
             "points": run.grid_points,
             "spacing": run.grid_spacing,
         },
-        "band_hz": [_round9(run.band_min_hz), _round9(run.band_max_hz)],
-        "squeezing_factor": _round9(report.squeezing_factor),
-        "broadband_improvement_db": _round9(report.broadband_improvement_db),
-        "shot_limited_improvement_db": _round9(report.shot_limited_improvement_db),
-        "rate_gain": _round9(report.rate_gain),
+        "band_hz": [run.band_min_hz, run.band_max_hz],
+        "squeezing_factor": report.squeezing_factor,
+        "broadband_improvement_db": report.broadband_improvement_db,
+        "shot_limited_improvement_db": report.shot_limited_improvement_db,
+        "rate_gain": report.rate_gain,
     }
 
 
+def _rounded(value):
+    """``value`` with every float inside it rounded to nine digits."""
+    if isinstance(value, float):
+        return float(fmt9(value))
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return value
+
+
 def to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Sorted-key JSON with every float rounded to nine digits."""
+    return json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n"
 
 
 def summary_json(report: BudgetReport) -> str:
@@ -164,37 +154,19 @@ def summary_json(report: BudgetReport) -> str:
 
 
 def sweep_csv(axis: str, rows: Sequence[SweepRow]) -> str:
-    lines = [
+    head = [
         f"# sweep axis: {axis}",
         "value,broadband_improvement_db,shot_limited_improvement_db,rate_gain",
     ]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    fmt9(row.value),
-                    fmt9(row.broadband_improvement_db),
-                    fmt9(row.shot_limited_improvement_db),
-                    fmt9(row.rate_gain),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    # SweepRow declares its fields in column order.
+    return _csv(head, (vars(row).values() for row in rows))
 
 
 def sweep_json(axis: str, rows: Sequence[SweepRow], extra: dict | None = None) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "axis": axis,
-        "rows": [
-            {
-                "value": _round9(row.value),
-                "broadband_improvement_db": _round9(row.broadband_improvement_db),
-                "shot_limited_improvement_db": _round9(row.shot_limited_improvement_db),
-                "rate_gain": _round9(row.rate_gain),
-            }
-            for row in rows
-        ],
+        "rows": [vars(row) for row in rows],
     }
     if extra:
         payload.update(extra)
@@ -209,10 +181,10 @@ def oracle_json(verdicts: Sequence[OracleVerdict]) -> str:
         "checks": [
             {
                 "name": v.name,
-                "analytic_variance": _round9(v.analytic),
-                "estimated_variance": _round9(v.run.estimated_variance),
-                "standard_error": _round9(v.run.standard_error),
-                "z": _round9(v.z),
+                "analytic_variance": v.analytic,
+                "estimated_variance": v.run.estimated_variance,
+                "standard_error": v.run.standard_error,
+                "z": v.z,
                 "n_samples": v.run.n_samples,
                 "seed": v.run.seed,
                 "passed": v.passed,

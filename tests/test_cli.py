@@ -51,6 +51,15 @@ class TestBudget:
         assert code == EXIT_CONFIG
         assert "nope.cfg" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"squeeze_db = 10\n# \xff\n")
+        code = main(["budget", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err and "latin.cfg" in err
+        assert "Traceback" not in err
+
     def test_config_override_changes_the_budget(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("squeeze_db = 6\nantisqueeze_db = 12\n", encoding="utf-8")

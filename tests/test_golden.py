@@ -63,7 +63,7 @@ GOLDEN = {
     'custom_sweep': {
         '<stdout>': '805b84a1888c02d35b86726fef4bec1b7e035827d9493b4bd2e084a31d71d13e',
         'sweep.csv': '805b84a1888c02d35b86726fef4bec1b7e035827d9493b4bd2e084a31d71d13e',
-        'sweep.json': 'bd812000d236f756ca97db2cc434bd4e3b0fc1d08352abad9038f257b5c2ce3c',
+        'sweep.json': '85746cc40b5b4fef3c6eafe01697a575b15299b5d382a41e90c868acd4bf4b2b',
     },
     'ledger': {
         '<stdout>': '0dd62efcc3e5605a9c6bb1486b819ac45dc15a9c8a4474ffc5588f924e3ab4e5',
@@ -92,8 +92,8 @@ GOLDEN = {
         'sweep.json': 'ea15f79817cebbfc0501537f79d9c8e9993f33f039d62872721be81f43898a40',
     },
     'sweep_solve': {
-        '<stdout>': '46240c6d69ed1153ac39589c278a76ad267bc892f81585e21ea1d3ee6fad4935',
-        'sweep.json': '46240c6d69ed1153ac39589c278a76ad267bc892f81585e21ea1d3ee6fad4935',
+        '<stdout>': '348b8d912d6a8ac58f9c145f15603901c9bf45512fe0429652fdb6b12c6fef88',
+        'sweep.json': '348b8d912d6a8ac58f9c145f15603901c9bf45512fe0429652fdb6b12c6fef88',
     },
 }
 

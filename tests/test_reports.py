@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
 from sqzbudget import build_report, default_run_config, standard_suite, sweep
+from sqzbudget.cli import EXIT_OK, main
 from sqzbudget.report import (
     budget_csv,
     fmt9,
@@ -30,6 +32,35 @@ def test_fmt9_gives_nine_significant_digits():
     assert fmt9(1.0e-21) == "1e-21"
     assert fmt9(0.44200000001) == "0.442"
     assert fmt9(123456789.123) == "123456789"
+
+
+def _floats(node):
+    if isinstance(node, float):
+        yield node
+    elif isinstance(node, dict):
+        for item in node.values():
+            yield from _floats(item)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _floats(item)
+
+
+JSON_OUTPUTS = {
+    "summary.json": ["budget", "--format", "json"],
+    "sweep.json": ["sweep", "--values", "0.5,0.62", "--solve-improvement-db", "6"],
+    "oracle.json": ["oracle", "--samples", "20000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_OUTPUTS))
+def test_every_json_float_has_nine_digits(name, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(JSON_OUTPUTS[name] + ["--out", out]) == EXIT_OK
+    capsys.readouterr()
+    with open(os.path.join(out, name), encoding="utf-8") as fh:
+        floats = list(_floats(json.load(fh)))
+    assert floats
+    assert [x for x in floats if x != float(fmt9(x))] == []
 
 
 class TestBudgetCsv:
