@@ -18,7 +18,7 @@ Improvements are power dB of the noise-power ratio, i.e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,22 +35,22 @@ from .losses import DegradationRow, chain_efficiency, degradation_report
 from .quadrature import SqueezeLevel, db_to_variance, state_from_db
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSpectrum:
     """Strain noise budget on a frequency grid.
 
     ``quantum`` already includes any squeezing factor; ``total`` is the
-    quadrature sum of the two sources, enforced at construction.
+    quadrature sum of the two sources, derived at construction.
     """
 
     grid: FrequencyGrid
     quantum: np.ndarray
     tech: np.ndarray
-    total: np.ndarray
+    total: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.grid)
-        for name in ("quantum", "tech", "total"):
+        for name in ("quantum", "tech"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise DomainError(
@@ -64,21 +64,9 @@ class NoiseSpectrum:
             object.__setattr__(self, name, arr)
         if np.any(self.quantum <= 0.0) or np.any(self.tech < 0.0):
             raise DomainError("quantum must be positive and tech non-negative")
-        expected = np.hypot(self.quantum, self.tech)
-        if not np.allclose(self.total, expected, rtol=1e-12, atol=0.0):
-            raise DomainError("total must be the quadrature sum of the sources")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NoiseSpectrum):
-            return NotImplemented
-        return (
-            self.grid == other.grid
-            and np.array_equal(self.quantum, other.quantum)
-            and np.array_equal(self.tech, other.tech)
-            and np.array_equal(self.total, other.total)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+        total = np.hypot(self.quantum, self.tech)
+        total.setflags(write=False)
+        object.__setattr__(self, "total", total)
 
 
 def total_noise(cfg: IfoConfig, grid: FrequencyGrid, sqz: float = 1.0) -> NoiseSpectrum:
@@ -88,10 +76,8 @@ def total_noise(cfg: IfoConfig, grid: FrequencyGrid, sqz: float = 1.0) -> NoiseS
     the squeezing factor otherwise. Sources add in quadrature.
     """
     require(0.0 < sqz < math.inf, "squeezing factor", sqz, "must be > 0 and finite")
-    shot = np.asarray(shot_noise_asd(cfg, grid.values))
-    tech = np.asarray(technical_noise_asd(cfg, grid.values))
-    quantum = sqz * shot
-    return NoiseSpectrum(grid, quantum, tech, np.hypot(quantum, tech))
+    shot = shot_noise_asd(cfg, grid.values)
+    return NoiseSpectrum(grid, sqz * shot, technical_noise_asd(cfg, grid.values))
 
 
 def improvement_db(
@@ -195,7 +181,6 @@ def build_report(run: RunConfig) -> BudgetReport:
     per_bin, band_median = improvement_db(
         off, on, (run.band_min_hz, run.band_max_hz)
     )
-    per_bin = per_bin.copy()
     per_bin.setflags(write=False)
     ledger = degradation_report(run.level, run.loss_stages)
     anchor_f = run.ifo.anchor_freq_hz

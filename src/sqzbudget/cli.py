@@ -73,14 +73,14 @@ def _load_run(args):
 def _cmd_budget(args) -> int:
     run = _load_run(args)
     report = build_report(run)
-    formats = {"csv", "json", "svg"} if args.format == "all" else {args.format}
-    if "csv" in formats:
+    summary = summary_json(report)
+    if args.format in ("csv", "all"):
         _write(args.out, "budget.csv", budget_csv(report))
-    if "json" in formats:
-        _write(args.out, "summary.json", summary_json(report))
-    if "svg" in formats:
+    if args.format in ("json", "all"):
+        _write(args.out, "summary.json", summary)
+    if args.format in ("svg", "all"):
         _write(args.out, "spectrum.svg", spectrum_svg(report))
-    sys.stdout.write(summary_json(report))
+    sys.stdout.write(summary)
     return EXIT_OK
 
 
@@ -116,15 +116,13 @@ def _cmd_sweep(args) -> int:
         rows = sweep(run, args.axis, values)
     elif extra is None:
         raise ConfigError("sweep needs --values, --solve-improvement-db, or both")
-    formats = {"csv", "json"} if args.format == "all" else {args.format}
-    if rows and "csv" in formats:
-        _write(args.out, "sweep.csv", sweep_csv(args.axis, rows))
-    if "json" in formats:
-        _write(args.out, "sweep.json", sweep_json(args.axis, rows, extra))
-    if rows:
-        sys.stdout.write(sweep_csv(args.axis, rows))
-    else:
-        sys.stdout.write(sweep_json(args.axis, rows, extra))
+    # stdout echoes the table, or the JSON when there is no table.
+    text = sweep_csv(args.axis, rows) if rows else sweep_json(args.axis, rows, extra)
+    if rows and args.format in ("csv", "all"):
+        _write(args.out, "sweep.csv", text)
+    if args.format in ("json", "all"):
+        _write(args.out, "sweep.json", sweep_json(args.axis, rows, extra) if rows else text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

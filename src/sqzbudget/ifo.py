@@ -118,10 +118,6 @@ class IfoConfig:
         )
         return replace(cfg, shot_scale=scale)
 
-    @property
-    def anchor(self) -> tuple[float, float]:
-        return (self.anchor_freq_hz, self.anchor_asd)
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -236,7 +232,6 @@ def squeezing_factor(
     injected: QuadratureState,
     chain: Sequence[LossElement],
     sigma_jitter: float = 0.0,
-    readout_angle: float = 0.0,
 ) -> float:
     """Frequency-independent factor the quantum-noise ASD is multiplied by.
 
@@ -248,4 +243,4 @@ def squeezing_factor(
     """
     eta = chain_efficiency(chain)
     degraded = dephase(apply_loss(injected, eta), sigma_jitter)
-    return math.sqrt(readout_variance(degraded, readout_angle))
+    return math.sqrt(readout_variance(degraded))

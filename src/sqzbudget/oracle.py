@@ -58,21 +58,20 @@ def sample_lossy_squeezed(
     n_samples: int,
     seed: int,
     v_anti: float | None = None,
-    angle: float = 0.0,
     sigma_jitter: float = 0.0,
 ) -> SampleRun:
     """Sample the readout quadrature of a squeezed field after loss.
 
-    Per sample: draw the quadrature angle (mean ``angle``, RMS jitter
+    Per sample: draw the quadrature angle (zero mean, RMS jitter
     ``sigma_jitter``), draw the field quadrature with the projected
     variance, then mix with vacuum on a beam splitter of power
     transmission ``efficiency``. Returns the unbiased sample variance
     and its standard error.
 
     ``v_anti`` defaults to the minimum-uncertainty partner of ``v_sq``;
-    it only matters when the angle or the jitter is nonzero.
+    it only matters when the jitter is nonzero.
     """
-    return _sample(v_sq, (efficiency,), n_samples, seed, v_anti, angle, sigma_jitter)
+    return _sample(v_sq, (efficiency,), n_samples, seed, v_anti, sigma_jitter)
 
 
 def sample_two_stage(
@@ -97,7 +96,6 @@ def _sample(
     n_samples: int,
     seed: int,
     v_anti: float | None = None,
-    angle: float = 0.0,
     sigma_jitter: float = 0.0,
 ) -> SampleRun:
     # One body for both samplers: jitter draws (if any), the field, then
@@ -112,8 +110,8 @@ def _sample(
     require(v_sq <= v_anti < math.inf, "v_anti", v_anti, f"must be finite and >= v_sq ({v_sq!r})")
 
     rng = np.random.default_rng(seed)
-    if angle != 0.0 or sigma_jitter > 0.0:
-        theta = angle + sigma_jitter * rng.standard_normal(n_samples)
+    if sigma_jitter > 0.0:
+        theta = sigma_jitter * rng.standard_normal(n_samples)
         projected = v_sq * np.cos(theta) ** 2 + v_anti * np.sin(theta) ** 2
     else:
         projected = v_sq
@@ -159,7 +157,8 @@ def standard_suite(seed: int = 42, n_samples: int = 1_000_000) -> tuple[OracleVe
     require(n_samples >= 10_000, "n_samples", n_samples, "oracle verdicts need >= 10000")
 
     def loss_variance(v: float, eta: float) -> float:
-        return v + (1.0 - eta) * (1.0 - v)
+        # The package's own algebra, on the minimum-uncertainty state of v.
+        return readout_variance(apply_loss(QuadratureState(v, max(v, 1.0 / v)), eta))
 
     checks = []
 

@@ -15,6 +15,7 @@ from typing import Sequence
 from .errors import DomainError
 
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
+_WIDTH, _HEIGHT = 820, 520
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,13 @@ class Trace:
 
 def _fmt(v: float) -> str:
     return "%.2f" % v
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str, dash=None) -> str:
+    dash_attr = ' stroke-dasharray="%s"' % dash if dash else ""
+    return '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"%s/>' % (
+        _fmt(x1), _fmt(y1), _fmt(x2), _fmt(y2), stroke, width, dash_attr
+    )
 
 
 def _decade_label(exponent: int) -> str:
@@ -69,12 +77,11 @@ def render_loglog(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 820,
-    height: int = 520,
 ) -> str:
     """Render traces on log-log axes; returns the SVG document text."""
     if not traces:
         raise DomainError("nothing to plot")
+    width, height = _WIDTH, _HEIGHT
     margin_l, margin_r, margin_t, margin_b = 86.0, 24.0, 48.0, 58.0
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -106,32 +113,20 @@ def render_loglog(
     # gridlines: faint minors, solid decade majors with labels
     for v in ax_x.minor_ticks():
         px = ax_x.place(v)
-        out.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#ececec" stroke-width="0.6"/>'
-            % (_fmt(px), _fmt(margin_t), _fmt(px), _fmt(margin_t + plot_h))
-        )
+        out.append(_line(px, margin_t, px, margin_t + plot_h, "#ececec", "0.6"))
     for v in ax_y.minor_ticks():
         py = ax_y.place(v)
-        out.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#ececec" stroke-width="0.6"/>'
-            % (_fmt(margin_l), _fmt(py), _fmt(margin_l + plot_w), _fmt(py))
-        )
+        out.append(_line(margin_l, py, margin_l + plot_w, py, "#ececec", "0.6"))
     for d in ax_x.decades():
         px = ax_x.place(10.0**d)
-        out.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#c8c8c8" stroke-width="1"/>'
-            % (_fmt(px), _fmt(margin_t), _fmt(px), _fmt(margin_t + plot_h))
-        )
+        out.append(_line(px, margin_t, px, margin_t + plot_h, "#c8c8c8", "1"))
         out.append(
             '<text x="%s" y="%s" %s font-size="12" text-anchor="middle" fill="#404040">%s</text>'
             % (_fmt(px), _fmt(margin_t + plot_h + 20.0), _FONT, _decade_label(d))
         )
     for d in ax_y.decades():
         py = ax_y.place(10.0**d)
-        out.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#c8c8c8" stroke-width="1"/>'
-            % (_fmt(margin_l), _fmt(py), _fmt(margin_l + plot_w), _fmt(py))
-        )
+        out.append(_line(margin_l, py, margin_l + plot_w, py, "#c8c8c8", "1"))
         out.append(
             '<text x="%s" y="%s" %s font-size="12" text-anchor="end" fill="#404040">%s</text>'
             % (_fmt(margin_l - 8.0), _fmt(py + 4.0), _FONT, _decade_label(d))
@@ -178,17 +173,15 @@ def render_loglog(
     )
     for i, trace in enumerate(traces):
         row_y = legend_y + 20.0 * i + 18.0
-        dash = ' stroke-dasharray="%s"' % trace.dash if trace.dash else ""
         out.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"%s/>'
-            % (
-                _fmt(legend_x + 10.0),
-                _fmt(row_y - 4.0),
-                _fmt(legend_x + 42.0),
-                _fmt(row_y - 4.0),
+            _line(
+                legend_x + 10.0,
+                row_y - 4.0,
+                legend_x + 42.0,
+                row_y - 4.0,
                 trace.color,
                 _fmt(trace.width),
-                dash,
+                trace.dash,
             )
         )
         out.append(

@@ -62,14 +62,11 @@ def test_noise_spectrum_validation():
     n = len(GRID)
     q = np.full(n, 1e-21)
     t = np.full(n, 1e-22)
-    good = np.hypot(q, t)
-    NoiseSpectrum(GRID, q, t, good)
+    NoiseSpectrum(GRID, q, t)
     with pytest.raises(DomainError):
-        NoiseSpectrum(GRID, q[:-1], t[:-1], good[:-1])
+        NoiseSpectrum(GRID, q[:-1], t[:-1])
     with pytest.raises(DomainError):
-        NoiseSpectrum(GRID, q, t, good * 1.5)
-    with pytest.raises(DomainError):
-        NoiseSpectrum(GRID, -q, t, good)
+        NoiseSpectrum(GRID, -q, t)
 
 
 class TestImprovement:
