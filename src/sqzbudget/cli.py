@@ -57,10 +57,19 @@ def _error(message: str) -> None:
 
 
 def _write(out_dir: str, name: str, content: str) -> None:
+    # Write beside the target, then rename over it: an interrupted run
+    # leaves the previous file whole, and open() applies the usual umask.
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+    tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     _diag(f"wrote {path}")
 
 

@@ -20,6 +20,8 @@ from .losses import LossElement
 from .quadrature import SqueezeLevel
 
 _GRID_SPACINGS = ("log", "linear")
+# Largest frequency grid; rejected before any array is allocated.
+_MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class RunConfig:
         points = self.grid_points
         ok = isinstance(points, Integral) and points >= 2
         require(ok, "grid_points", points, "must be an integer >= 2")
+        rule = f"must be <= {_MAX_GRID_POINTS}"
+        require(points <= _MAX_GRID_POINTS, "grid_points", points, rule)
         spacing = self.grid_spacing
         rule = f"must be one of {_GRID_SPACINGS}"
         require(spacing in _GRID_SPACINGS, "grid_spacing", spacing, rule)

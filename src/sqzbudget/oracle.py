@@ -25,6 +25,9 @@ from .quadrature import QuadratureState, apply_loss, dephase, readout_variance
 # Acceptance window on the z-score of the variance estimate.
 Z_MAX = 3.0
 
+# Largest sample count per run; rejected before any array is allocated.
+_MAX_SAMPLES = 10_000_000
+
 
 @dataclass(frozen=True)
 class SampleRun:
@@ -105,6 +108,8 @@ def _sample(
         check_efficiency(f"efficiencies[{i}]", efficiency)
     require(0.0 <= sigma_jitter < math.inf, "sigma_jitter", sigma_jitter, "must be >= 0 and finite")
     require(n_samples >= 2, "n_samples", n_samples, "must be >= 2")
+    require(n_samples <= _MAX_SAMPLES, "n_samples", n_samples, f"must be <= {_MAX_SAMPLES}")
+    require(seed >= 0, "seed", seed, "must be >= 0")
     if v_anti is None:
         v_anti = max(v_sq, 1.0 / v_sq)
     require(v_sq <= v_anti < math.inf, "v_anti", v_anti, f"must be finite and >= v_sq ({v_sq!r})")

@@ -81,10 +81,9 @@ def render_loglog(
     """Render traces on log-log axes; returns the SVG document text."""
     if not traces:
         raise DomainError("nothing to plot")
-    width, height = _WIDTH, _HEIGHT
     margin_l, margin_r, margin_t, margin_b = 86.0, 24.0, 48.0, 58.0
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     xs = [v for t in traces for v in t.x]
     ys = [v for t in traces for v in t.y]
@@ -102,9 +101,9 @@ def render_loglog(
     out: list[str] = []
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (width, height, width, height)
+        'viewBox="0 0 %d %d">' % (_WIDTH, _HEIGHT, _WIDTH, _HEIGHT)
     )
-    out.append('<rect x="0" y="0" width="%d" height="%d" fill="white"/>' % (width, height))
+    out.append('<rect x="0" y="0" width="%d" height="%d" fill="white"/>' % (_WIDTH, _HEIGHT))
     out.append(
         '<text x="%s" y="26" %s font-size="15" text-anchor="middle" fill="#202020">%s</text>'
         % (_fmt(margin_l + plot_w / 2.0), _FONT, _escape(title))
@@ -138,7 +137,7 @@ def render_loglog(
     )
     out.append(
         '<text x="%s" y="%s" %s font-size="13" text-anchor="middle" fill="#202020">%s</text>'
-        % (_fmt(margin_l + plot_w / 2.0), _fmt(height - 14.0), _FONT, _escape(xlabel))
+        % (_fmt(margin_l + plot_w / 2.0), _fmt(_HEIGHT - 14.0), _FONT, _escape(xlabel))
     )
     out.append(
         '<text x="20" y="%s" %s font-size="13" text-anchor="middle" '

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from sqzbudget import parse_config
+from sqzbudget import cli
 from sqzbudget.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, main
 
 
@@ -132,6 +133,48 @@ class TestOracle:
     def test_undersized_run_is_a_config_error(self, tmp_path):
         code = main(["oracle", "--out", str(tmp_path / "o"), "--samples", "100"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "seed = -1 violates bound: must be >= 0"),
+            ("--samples", "10000001", "n_samples = 10000001 violates bound: must be <= 10000000"),
+        ],
+    )
+    def test_out_of_range_argument_exits_2(self, flag, value, message, tmp_path, capsys):
+        # Both are rejected before the generator or any sample array exists.
+        code = main(["oracle", "--out", str(tmp_path / "o"), flag, value])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestWrite:
+    @pytest.mark.parametrize("failure", ["encode", "rename"])
+    def test_failed_write_keeps_previous_file(self, failure, tmp_path, capsys, monkeypatch):
+        cli._write(str(tmp_path), "budget.csv", "previous\n")
+        content = "partial\n"
+        if failure == "encode":
+            content += "\ud800"  # a lone surrogate cannot be encoded as UTF-8
+        else:
+            def broken_replace(src, dst):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(cli.os, "replace", broken_replace)
+        with pytest.raises((UnicodeEncodeError, OSError)):
+            cli._write(str(tmp_path), "budget.csv", content)
+        assert read(tmp_path / "budget.csv") == b"previous\n"
+        assert os.listdir(tmp_path) == ["budget.csv"]
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path, capsys):
+        umask = os.umask(0o022)
+        try:
+            cli._write(str(tmp_path), "ledger.csv", "x\n")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "ledger.csv").stat().st_mode & 0o777 == 0o644
 
 
 class TestPreset:

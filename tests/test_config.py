@@ -151,6 +151,7 @@ class TestRejection:
         ("f_min_hz = 0", "f_min_hz", "> 0 and finite", "0.0", 1),
         ("f_max_hz = inf", "f_max_hz", "finite", "inf", 1),
         ("grid_points = 1", "grid_points", ">= 2", "1", 1),
+        ("grid_points = 1000001", "grid_points", "<= 1000000", "1000001", 1),
         ("grid_spacing = cubic", "grid_spacing", "one of ('log', 'linear')", "'cubic'", 1),
         ("band_min_hz = -1", "band_min_hz", "> 0 and finite", "-1.0", 1),
         ("band_max_hz = inf", "band_max_hz", "finite", "inf", 1),

@@ -97,6 +97,27 @@ class TestSuite:
         assert len(verdicts) == 5
         assert all(v.passed for v in verdicts)
 
+    def test_analytic_values_come_from_apply_loss(self, monkeypatch):
+        # A loss formula that fills the open port with twice the vacuum
+        # noise: every check built on apply_loss must fail, the vacuum
+        # check included.
+        def wrong_loss(state, efficiency):
+            return QuadratureState(
+                efficiency * state.v_sq + 2.0 * (1.0 - efficiency),
+                efficiency * state.v_anti + 2.0 * (1.0 - efficiency),
+                state.angle,
+            )
+
+        monkeypatch.setattr("sqzbudget.oracle.apply_loss", wrong_loss)
+        verdicts = {v.name: v for v in standard_suite(seed=42, n_samples=100_000)}
+        for name in (
+            "squeezed_10db_eta_0.62",
+            "vacuum_eta_0.50",
+            "squeezed_9db_eta_0.833",
+            "two_stage_0.9x0.8",
+        ):
+            assert not verdicts[name].passed, name
+
     def test_statistical_fluctuations_are_caught(self):
         # seed 23 at n = 10^4 lands one check outside 3 SE; the suite
         # must report that honestly rather than smooth it over
