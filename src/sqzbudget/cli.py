@@ -125,7 +125,6 @@ def _cmd_sweep(args) -> int:
         rows = sweep(run, args.axis, values)
     elif extra is None:
         raise ConfigError("sweep needs --values, --solve-improvement-db, or both")
-    # stdout echoes the table, or the JSON when there is no table.
     text = sweep_csv(args.axis, rows) if rows else sweep_json(args.axis, rows, extra)
     if rows and args.format in ("csv", "all"):
         _write(args.out, "sweep.csv", text)

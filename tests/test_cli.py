@@ -5,8 +5,7 @@ import os
 
 import pytest
 
-from sqzbudget import parse_config
-from sqzbudget import cli
+from sqzbudget import cli, parse_config
 from sqzbudget.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, main
 
 
