@@ -26,6 +26,15 @@ grid_spacing = linear
 grid_points = 64
 """
 
+# A dense non-preset run: enough grid points that a chunked writer
+# crosses its chunk boundary and ends on a partial chunk.
+DENSE_CONFIG = """\
+eta_total = 0.55
+squeeze_db = 9.5
+sigma_jitter_rad = 0.02
+grid_points = 20011
+"""
+
 CASES = {
     "budget": ["budget"],
     "ledger": ["ledger"],
@@ -36,6 +45,7 @@ CASES = {
     "sweep_solve": ["sweep", "--solve-improvement-db", "6"],
     "oracle": ["oracle", "--seed", "42"],
     "custom_budget": ["budget", "--config", "{config}"],
+    "dense_budget": ["budget", "--config", "{dense}", "--format", "all"],
     "custom_ledger": ["ledger", "--config", "{config}"],
     "custom_sweep": [
         "sweep", "--config", "{config}", "--axis", "eta",
@@ -64,6 +74,12 @@ GOLDEN = {
         '<stdout>': '805b84a1888c02d35b86726fef4bec1b7e035827d9493b4bd2e084a31d71d13e',
         'sweep.csv': '805b84a1888c02d35b86726fef4bec1b7e035827d9493b4bd2e084a31d71d13e',
         'sweep.json': '85746cc40b5b4fef3c6eafe01697a575b15299b5d382a41e90c868acd4bf4b2b',
+    },
+    'dense_budget': {
+        '<stdout>': 'df83473c309abc8382ac547ba2bd685fb56d4730736762fb3a7b29fa01369936',
+        'budget.csv': '698cc0ddeb11a7d555ade5a48fce671d2fa64704f6dc9269b0b9bb3087cf4faa',
+        'spectrum.svg': '64a2960f46f6df4c3cb638ee9018104e101c1a25b757a9ce67634596a20ebfa2',
+        'summary.json': 'df83473c309abc8382ac547ba2bd685fb56d4730736762fb3a7b29fa01369936',
     },
     'ledger': {
         '<stdout>': '0dd62efcc3e5605a9c6bb1486b819ac45dc15a9c8a4474ffc5588f924e3ab4e5',
@@ -104,11 +120,13 @@ def _sha(data: bytes) -> str:
 
 def run_case(name: str, workdir: str) -> dict:
     """Run one case under ``workdir``; digest of stdout and each file."""
-    config = os.path.join(workdir, "custom.cfg")
-    with open(config, "w", encoding="utf-8") as fh:
-        fh.write(CUSTOM_CONFIG)
+    paths = {}
+    for key, text in (("config", CUSTOM_CONFIG), ("dense", DENSE_CONFIG)):
+        paths[key] = os.path.join(workdir, f"{key}.cfg")
+        with open(paths[key], "w", encoding="utf-8") as fh:
+            fh.write(text)
     out = os.path.join(workdir, "out")
-    argv = [arg.format(config=config) for arg in CASES[name]]
+    argv = [arg.format(**paths) for arg in CASES[name]]
     if name != "preset":
         argv += ["--out", out]
     with redirect_stdout(io.StringIO()) as stdout, redirect_stderr(io.StringIO()):
