@@ -2,14 +2,21 @@
 
 All numbers are written with 9 significant digits and all JSON keys are
 sorted, so identical runs produce byte-identical files. ``to_json`` and
-``_csv`` apply that rule, so the emitters hand them raw values. Nothing
-here writes timestamps, hostnames, or absolute paths.
+``_csv`` apply that rule, so the emitters hand them raw values. ``_csv``
+formats a table column-wise: it builds one row template from the cell
+types of the first row (``%s`` for a string, ``%.9g`` for a number,
+which writes the same bytes as ``fmt9``) and applies it to a few
+thousand rows at a time with a single ``%`` operation, so no numpy
+scalar and no per-cell call reaches the formatter. Nothing here writes
+timestamps, hostnames, or absolute paths.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Sequence
+
+import numpy as np
 
 from .budget import BudgetReport, SweepRow
 from .losses import DegradationRow
@@ -30,14 +37,30 @@ def fmt9(value: float) -> str:
     return f"{float(value):.9g}"
 
 
+# Rows formatted per ``%`` operation: bounds the cells held at once.
+_CSV_CHUNK_ROWS = 4096
+
+
 def _csv(head: Sequence[str], rows) -> str:
     """Header lines, then one comma-joined line per row.
 
-    Numbers are written with ``fmt9``; strings pass through unchanged.
+    ``rows`` is a 2-D float array or a list of row tuples whose cells
+    have the types of the first row's. Numbers are written as ``fmt9``
+    would write them; strings pass through unchanged.
     """
-    # An exact type test: isinstance is slower on the numpy scalar cells.
-    body = [",".join([v if type(v) is str else fmt9(v) for v in row]) for row in rows]
-    return "\n".join([*head, *body]) + "\n"
+    parts = [line + "\n" for line in head]
+    template = ""
+    for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+        chunk = rows[start : start + _CSV_CHUNK_ROWS]
+        if isinstance(chunk, np.ndarray):
+            cells = chunk.ravel().tolist()
+        else:
+            cells = [v for row in chunk for v in row]
+        if not template:
+            first = cells[: len(chunk[0])]
+            template = ",".join(["%s" if isinstance(v, str) else "%.9g" for v in first]) + "\n"
+        parts.append(template * len(chunk) % tuple(cells))
+    return "".join(parts)
 
 
 def budget_csv(report: BudgetReport) -> str:
@@ -57,17 +80,19 @@ def budget_csv(report: BudgetReport) -> str:
     ]
     off = report.spectrum_off
     on = report.spectrum_on
-    columns = (
-        off.grid.values,
-        off.total,
-        on.total,
-        report.improvement_db,
-        off.quantum,
-        off.tech,
-        off.total * arm,
-        on.total * arm,
+    table = np.column_stack(
+        (
+            off.grid.values,
+            off.total,
+            on.total,
+            report.improvement_db,
+            off.quantum,
+            off.tech,
+            off.total * arm,
+            on.total * arm,
+        )
     )
-    return _csv(head, zip(*columns))
+    return _csv(head, table)
 
 
 def ledger_csv(rows: Sequence[DegradationRow], eta_effective: float | None = None) -> str:
@@ -78,7 +103,7 @@ def ledger_csv(rows: Sequence[DegradationRow], eta_effective: float | None = Non
     """
     head = ["stage,efficiency,eta_cumulative,v_sq_cumulative,squeeze_db_cumulative"]
     # DegradationRow declares its fields in column order.
-    text = _csv(head, (vars(row).values() for row in rows))
+    text = _csv(head, [tuple(vars(row).values()) for row in rows])
     product = rows[-1].eta_cumulative if rows else 1.0
     if eta_effective is not None and eta_effective != product:
         text += (
@@ -159,7 +184,7 @@ def sweep_csv(axis: str, rows: Sequence[SweepRow]) -> str:
         "value,broadband_improvement_db,shot_limited_improvement_db,rate_gain",
     ]
     # SweepRow declares its fields in column order.
-    return _csv(head, (vars(row).values() for row in rows))
+    return _csv(head, [tuple(vars(row).values()) for row in rows])
 
 
 def sweep_json(axis: str, rows: Sequence[SweepRow], extra: dict | None = None) -> str:
@@ -197,12 +222,12 @@ def oracle_json(verdicts: Sequence[OracleVerdict]) -> str:
 
 def spectrum_svg(report: BudgetReport) -> str:
     """Log-log spectrum plot: squeezing off/on totals plus the parts."""
-    f = list(report.spectrum_off.grid.values)
+    off, on = report.spectrum_off, report.spectrum_on
+    f = off.grid.values
     traces = []
-    tech = list(report.spectrum_off.tech)
-    if all(v > 0.0 for v in tech):  # a zero envelope cannot sit on log axes
+    if np.all(off.tech > 0.0):  # a zero envelope cannot sit on log axes
         traces.append(
-            Trace("technical envelope", "#909090", f, tech, width=1.0, dash="4 3")
+            Trace("technical envelope", "#909090", f, off.tech, width=1.0, dash="4 3")
         )
     traces.extend(
         [
@@ -210,12 +235,12 @@ def spectrum_svg(report: BudgetReport) -> str:
                 "shot noise (no squeezing)",
                 "#7aa6d6",
                 f,
-                list(report.spectrum_off.quantum),
+                off.quantum,
                 width=1.0,
                 dash="6 3",
             ),
-            Trace("total, squeezing off", "#1f3b70", f, list(report.spectrum_off.total)),
-            Trace("total, squeezing on", "#b03030", f, list(report.spectrum_on.total)),
+            Trace("total, squeezing off", "#1f3b70", f, off.total),
+            Trace("total, squeezing on", "#b03030", f, on.total),
         ]
     )
     return render_loglog(

@@ -12,10 +12,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 _WIDTH, _HEIGHT = 820, 520
+# Largest plottable value: the decade above it would not be a float.
+_MAX_VALUE = 1e308
 
 
 @dataclass(frozen=True)
@@ -30,6 +34,12 @@ class Trace:
 
 def _fmt(v: float) -> str:
     return "%.2f" % v
+
+
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """Polyline ``points`` text: "x,y" pairs at two decimals, space-separated."""
+    pairs = np.column_stack((px, py)).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * len(px)) % tuple(pairs)
 
 
 def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str, dash=None) -> str:
@@ -54,8 +64,12 @@ class _LogAxis:
         self.px_lo = px_lo
         self.px_hi = px_hi
 
-    def place(self, value: float) -> float:
-        frac = (math.log10(value) - self.lo) / (self.hi - self.lo)
+    def place(self, values: Sequence[float]) -> np.ndarray:
+        """Pixel coordinates of ``values``, one per value."""
+        # math.log10, not np.log10: they differ in the last bit on some
+        # inputs, which can move a coordinate across a %.2f boundary.
+        logs = np.fromiter(map(math.log10, values), dtype=float, count=len(values))
+        frac = (logs - self.lo) / (self.hi - self.lo)
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
     def decades(self) -> list[int]:
@@ -85,15 +99,21 @@ def render_loglog(
     plot_w = _WIDTH - margin_l - margin_r
     plot_h = _HEIGHT - margin_t - margin_b
 
-    xs = [v for t in traces for v in t.x]
-    ys = [v for t in traces for v in t.y]
-    if any((not math.isfinite(v)) or v <= 0.0 for v in xs + ys):
-        raise DomainError("log-log traces need positive finite data")
+    data = [(np.asarray(t.x, dtype=float), np.asarray(t.y, dtype=float)) for t in traces]
+    for trace, (x, y) in zip(traces, data):
+        if x.shape != y.shape:
+            raise DomainError(
+                f"trace {trace.label!r} has {x.size} x values but {y.size} y values"
+            )
+    xs = np.concatenate([x for x, _ in data])
+    ys = np.concatenate([y for _, y in data])
+    if not all(np.all((a > 0.0) & (a <= _MAX_VALUE)) for a in (xs, ys)):
+        raise DomainError(f"log-log traces need positive finite data up to {_MAX_VALUE!r}")
 
-    x_lo = 10.0 ** math.floor(math.log10(min(xs)) + 1e-12)
-    x_hi = 10.0 ** math.ceil(math.log10(max(xs)) - 1e-12)
-    y_lo = 10.0 ** math.floor(math.log10(min(ys)) + 1e-12)
-    y_hi = 10.0 ** math.ceil(math.log10(max(ys)) - 1e-12)
+    x_lo = 10.0 ** math.floor(math.log10(xs.min()) + 1e-12)
+    x_hi = 10.0 ** math.ceil(math.log10(xs.max()) - 1e-12)
+    y_lo = 10.0 ** math.floor(math.log10(ys.min()) + 1e-12)
+    y_hi = 10.0 ** math.ceil(math.log10(ys.max()) - 1e-12)
 
     ax_x = _LogAxis(x_lo, x_hi, margin_l, margin_l + plot_w)
     ax_y = _LogAxis(y_lo, y_hi, margin_t + plot_h, margin_t)  # y grows upward
@@ -110,21 +130,19 @@ def render_loglog(
     )
 
     # gridlines: faint minors, solid decade majors with labels
-    for v in ax_x.minor_ticks():
-        px = ax_x.place(v)
+    for px in ax_x.place(ax_x.minor_ticks()).tolist():
         out.append(_line(px, margin_t, px, margin_t + plot_h, "#ececec", "0.6"))
-    for v in ax_y.minor_ticks():
-        py = ax_y.place(v)
+    for py in ax_y.place(ax_y.minor_ticks()).tolist():
         out.append(_line(margin_l, py, margin_l + plot_w, py, "#ececec", "0.6"))
-    for d in ax_x.decades():
-        px = ax_x.place(10.0**d)
+    x_decades = ax_x.decades()
+    for d, px in zip(x_decades, ax_x.place([10.0**d for d in x_decades]).tolist()):
         out.append(_line(px, margin_t, px, margin_t + plot_h, "#c8c8c8", "1"))
         out.append(
             '<text x="%s" y="%s" %s font-size="12" text-anchor="middle" fill="#404040">%s</text>'
             % (_fmt(px), _fmt(margin_t + plot_h + 20.0), _FONT, _decade_label(d))
         )
-    for d in ax_y.decades():
-        py = ax_y.place(10.0**d)
+    y_decades = ax_y.decades()
+    for d, py in zip(y_decades, ax_y.place([10.0**d for d in y_decades]).tolist()):
         out.append(_line(margin_l, py, margin_l + plot_w, py, "#c8c8c8", "1"))
         out.append(
             '<text x="%s" y="%s" %s font-size="12" text-anchor="end" fill="#404040">%s</text>'
@@ -150,11 +168,8 @@ def render_loglog(
         )
     )
 
-    for trace in traces:
-        points = " ".join(
-            "%s,%s" % (_fmt(ax_x.place(x)), _fmt(ax_y.place(y)))
-            for x, y in zip(trace.x, trace.y)
-        )
+    for trace, (x, y) in zip(traces, data):
+        points = _points(ax_x.place(x.tolist()), ax_y.place(y.tolist()))
         dash = ' stroke-dasharray="%s"' % trace.dash if trace.dash else ""
         out.append(
             '<polyline points="%s" fill="none" stroke="%s" stroke-width="%s"%s/>'

@@ -6,10 +6,16 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqzbudget import build_report, default_run_config, standard_suite, sweep
+from sqzbudget import report as report_module
 from sqzbudget.cli import EXIT_OK, main
+from sqzbudget.errors import DomainError
+from sqzbudget.svgplot import Trace, _fmt, _LogAxis, _points, render_loglog
 from sqzbudget.report import (
     budget_csv,
     fmt9,
@@ -61,6 +67,72 @@ def test_every_json_float_has_nine_digits(name, tmp_path, capsys):
         floats = list(_floats(json.load(fh)))
     assert floats
     assert [x for x in floats if x != float(fmt9(x))] == []
+
+
+def _csv_per_cell(head, rows):
+    """The CSV writer as it was, one ``fmt9`` call per cell: the reference."""
+    body = [",".join([v if type(v) is str else fmt9(v) for v in row]) for row in rows]
+    return "\n".join([*head, *body]) + "\n"
+
+
+_NUMBER = st.one_of(
+    st.floats(),  # nan, +-inf, -0.0, subnormal and huge values included
+    st.floats().map(np.float64),
+    st.integers(-(10**20), 10**20),
+)
+_CELL = {"str": st.text(max_size=6), "num": _NUMBER}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELL)), min_size=1, max_size=5))
+    row = st.tuples(*(_CELL[kind] for kind in kinds))
+    return draw(st.lists(row, max_size=30))
+
+
+@given(rows=_tables(), chunk_rows=st.integers(1, 7), as_array=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_csv_matches_the_per_cell_writer(rows, chunk_rows, as_array):
+    head = ["# a table", "a,b"]
+    expected = _csv_per_cell(head, rows)
+    if as_array and rows and not any(isinstance(v, str) for v in rows[0]):
+        rows = np.array([[float(v) for v in row] for row in rows])
+    saved = report_module._CSV_CHUNK_ROWS
+    report_module._CSV_CHUNK_ROWS = chunk_rows  # cross chunk boundaries on small tables
+    try:
+        assert report_module._csv(head, rows) == expected
+    finally:
+        report_module._CSV_CHUNK_ROWS = saved
+
+
+def _place_per_point(axis, value):
+    """``_LogAxis.place`` as it was, for one value: the reference."""
+    frac = (math.log10(value) - axis.lo) / (axis.hi - axis.lo)
+    return axis.px_lo + frac * (axis.px_hi - axis.px_lo)
+
+
+@st.composite
+def _axis_and_values(draw):
+    lo = draw(st.integers(-30, 5))
+    hi = lo + draw(st.integers(1, 8))
+    values = st.floats(10.0**lo, 10.0**hi)
+    return lo, hi, draw(st.lists(values, max_size=40)), draw(st.lists(values, max_size=40))
+
+
+@given(_axis_and_values())
+@settings(max_examples=300, deadline=None)
+def test_polyline_points_match_the_per_point_writer(case):
+    lo, hi, xs, ys = case
+    n = min(len(xs), len(ys))
+    xs, ys = xs[:n], ys[:n]
+    ax_x = _LogAxis(10.0**lo, 10.0**hi, 86.0, 796.0)
+    ax_y = _LogAxis(10.0**lo, 10.0**hi, 462.0, 48.0)
+    px = [_place_per_point(ax_x, x) for x in xs]
+    py = [_place_per_point(ax_y, y) for y in ys]
+    # Equal to the last bit, not only after rounding to two decimals.
+    assert ax_x.place(xs).tolist() == px and ax_y.place(ys).tolist() == py
+    expected = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in zip(px, py))
+    assert _points(ax_x.place(xs), ax_y.place(ys)) == expected
 
 
 class TestBudgetCsv:
@@ -177,9 +249,6 @@ class TestSvg:
         assert svg.count("<polyline") == 3
 
     def test_render_rejects_empty_and_nonpositive(self):
-        from sqzbudget.errors import DomainError
-        from sqzbudget.svgplot import Trace, render_loglog
-
         with pytest.raises(DomainError):
             render_loglog([], title="t", xlabel="x", ylabel="y")
         with pytest.raises(DomainError):
@@ -189,3 +258,19 @@ class TestSvg:
                 xlabel="x",
                 ylabel="y",
             )
+        # The decade above 1.5e308 is not a float, so no axis can hold it.
+        with pytest.raises(DomainError, match="up to 1e"):
+            render_loglog(
+                [Trace("a", "#000", [1.0, 1.5e308], [1.0, 2.0])],
+                title="t",
+                xlabel="x",
+                ylabel="y",
+            )
+
+    def test_render_rejects_traces_of_unequal_length(self):
+        traces = [
+            Trace("ok", "#000", [1.0, 2.0], [1.0, 2.0]),
+            Trace("short y", "#000", [1.0, 2.0, 3.0], [1.0, 2.0]),
+        ]
+        with pytest.raises(DomainError, match="'short y' has 3 x values but 2 y values"):
+            render_loglog(traces, title="t", xlabel="x", ylabel="y")
