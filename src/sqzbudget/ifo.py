@@ -32,6 +32,18 @@ SPEED_OF_LIGHT = 299792458.0  # m / s
 HBAR = PLANCK_H / (2.0 * math.pi)
 
 
+def _squared(name: str, value: float, *keys: str) -> float:
+    """``value**2``, or a DomainError naming ``name`` if that overflows a float.
+
+    ``keys`` are the config fields ``value`` is computed from.
+    """
+    try:
+        return value**2
+    except OverflowError:
+        rule = "must square to a finite float"
+        raise DomainError(f"{name} = {value!r} violates bound: {rule}", *keys) from None
+
+
 @dataclass(frozen=True)
 class IfoConfig:
     """Interferometer parameters for the two-source strain noise model.
@@ -74,21 +86,33 @@ class IfoConfig:
             require(0.0 < value < math.inf, name, value, "must be > 0 and finite")
         tech = self.tech_displacement_asd
         require(0.0 <= tech < math.inf, "tech_displacement_asd", tech, "must be >= 0 and finite")
+        # The flat shot level is shot_scale / (arm_length_eff * sqrt(power_bs)):
+        # neither factor may underflow to zero or overflow.
+        gain = self.arm_length_eff * math.sqrt(self.power_bs)
+        rule = "must be > 0 and finite"
+        name = "arm_length_eff * sqrt(power_bs)"
+        require(0.0 < gain < math.inf, name, gain, rule, "arm_length_eff", "power_bs")
         if self.shot_scale is None:
             object.__setattr__(self, "shot_scale", self._calibrate_shot_scale())
-        else:
-            scale = self.shot_scale
-            require(0.0 < scale < math.inf, "shot_scale", scale, "must be > 0 and finite")
+            rule += ", calibrated from anchor_asd, arm_length_eff and power_bs"
+        scale = self.shot_scale
+        related = ("anchor_asd", "arm_length_eff", "power_bs")
+        require(0.0 < scale < math.inf, "shot_scale", scale, rule, *related)
 
     def _calibrate_shot_scale(self) -> float:
         # Flat shot level such that sqrt(shot^2 + tech^2) at the anchor
         # frequency reproduces the anchor ASD exactly.
         tech = technical_noise_asd(self, self.anchor_freq_hz)
-        shot_power = self.anchor_asd**2 - tech**2
+        tech_name = "tech_displacement_asd / arm_length_eff at anchor_freq_hz"
+        tech_keys = ("tech_displacement_asd", "arm_length_eff", "anchor_freq_hz", "tech_corner_hz")
+        tech_power = _squared(tech_name, tech, *tech_keys)
+        shot_power = _squared("anchor_asd", self.anchor_asd, "anchor_asd") - tech_power
         rule = f"must exceed the technical-noise envelope ({tech!r}) at {self.anchor_freq_hz!r} Hz"
         related = ("anchor_freq_hz", "tech_displacement_asd", "tech_corner_hz", "arm_length_eff")
         require(shot_power > 0.0, "anchor_asd", self.anchor_asd, rule, *related)
-        rise = math.sqrt(1.0 + (self.anchor_freq_hz / self.sr_pole_hz) ** 2)
+        ratio = self.anchor_freq_hz / self.sr_pole_hz
+        ratio_power = _squared("anchor_freq_hz / sr_pole_hz", ratio, "sr_pole_hz", "anchor_freq_hz")
+        rise = math.sqrt(1.0 + ratio_power)
         flat = math.sqrt(shot_power) / rise
         return flat * self.arm_length_eff * math.sqrt(self.power_bs)
 

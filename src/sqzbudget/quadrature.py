@@ -21,6 +21,10 @@ from .errors import DomainError, check_efficiency, require
 # Constructor tolerance on the uncertainty product. Pure states built from
 # matched dB levels can land at 1 - O(ulp) after rounding.
 _HUR_SLACK = 1e-9
+# Largest dB level, far above any squeezer. It keeps every derived number
+# a float: the variance 10**(dB/10) and the rate gain, the cube of an
+# amplitude ratio of up to 10**(dB/20).
+_MAX_DB = 300.0
 
 
 def _reduce_angle(angle: float) -> float:
@@ -56,6 +60,7 @@ class SqueezeLevel:
         require(0.0 <= sqz < math.inf, "squeeze_db", sqz, "must be >= 0 and finite")
         rule = f"must be finite and >= squeeze_db ({sqz!r})"
         require(sqz <= anti < math.inf, "antisqueeze_db", anti, rule, "squeeze_db")
+        require(anti <= _MAX_DB, "antisqueeze_db", anti, f"must be <= {_MAX_DB!r}")
 
 
 @dataclass(frozen=True)

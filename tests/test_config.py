@@ -166,6 +166,19 @@ class TestRejection:
         ("f_max_hz = 8000\nanchor_freq_hz = 9000", "anchor_freq_hz", "[10.0, 8000.0]", "9000.0", 2),
         ("anchor_asd = 4.0e-23", "anchor_asd", "exceed the technical-noise", "4e-23", 1),
         ("# noisier\ntech_displacement_asd = 1e-16", "anchor_asd", "noise envelope", "1e-21", 2),
+        # finite values whose derived quantities leave the float range
+        ("sr_pole_hz = 1e-200", "anchor_freq_hz / sr_pole_hz", "square to a finite", "3e+203", 1),
+        ("anchor_freq_hz = 1e300", "sr_pole_hz", "square to a finite", "2.5000000000000002e+297", 1),
+        ("tech_displacement_asd = 1e300", "arm_length_eff at anchor_freq_hz", "square to a finite",
+         "4.537037037037037e+295", 1),
+        ("arm_length_eff = 1e-300", "arm_length_eff at anchor_freq_hz", "square to a finite",
+         "5.444444444444445e+280", 1),
+        ("anchor_asd = 1e300", "anchor_asd", "square to a finite", "1e+300", 1),
+        ("antisqueeze_db = 301", "antisqueeze_db", "<= 300.0", "301.0", 1),
+        ("arm_length_eff = 1e-300\npower_bs = 1e-300", "arm_length_eff * sqrt(power_bs)",
+         "> 0 and finite", "0.0", 1),
+        ("tech_displacement_asd = 0\narm_length_eff = 1e-300\npower_bs = 1e-10", "shot_scale",
+         "calibrated from anchor_asd, arm_length_eff and power_bs", "0.0", 2),
     ]
 
     @pytest.mark.parametrize(
