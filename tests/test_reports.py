@@ -112,27 +112,27 @@ def _place_per_point(axis, value):
 
 
 @st.composite
-def _axis_and_values(draw):
+def _decades_and_points(draw):
     lo = draw(st.integers(-30, 5))
     hi = lo + draw(st.integers(1, 8))
-    values = st.floats(10.0**lo, 10.0**hi)
-    return lo, hi, draw(st.lists(values, max_size=40)), draw(st.lists(values, max_size=40))
+    value = st.floats(10.0**lo, 10.0**hi)
+    return lo, hi, draw(st.lists(st.tuples(value, value), max_size=40))
 
 
-@given(_axis_and_values())
+@given(_decades_and_points())
 @settings(max_examples=300, deadline=None)
 def test_polyline_points_match_the_per_point_writer(case):
-    lo, hi, xs, ys = case
-    n = min(len(xs), len(ys))
-    xs, ys = xs[:n], ys[:n]
+    lo, hi, points = case
+    xs, ys = [x for x, _ in points], [y for _, y in points]
     ax_x = _LogAxis(10.0**lo, 10.0**hi, 86.0, 796.0)
     ax_y = _LogAxis(10.0**lo, 10.0**hi, 462.0, 48.0)
     px = [_place_per_point(ax_x, x) for x in xs]
     py = [_place_per_point(ax_y, y) for y in ys]
+    placed_x, placed_y = ax_x.place(xs), ax_y.place(ys)
     # Equal to the last bit, not only after rounding to two decimals.
-    assert ax_x.place(xs).tolist() == px and ax_y.place(ys).tolist() == py
+    assert placed_x.tolist() == px and placed_y.tolist() == py
     expected = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in zip(px, py))
-    assert _points(ax_x.place(xs), ax_y.place(ys)) == expected
+    assert _points(placed_x, placed_y) == expected
 
 
 class TestBudgetCsv:
