@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import RunConfig
 from .errors import ConfigError, DomainError, require
@@ -33,6 +32,9 @@ from .ifo import (
 )
 from .losses import DegradationRow, chain_efficiency, degradation_report
 from .quadrature import SqueezeLevel, db_to_variance, state_from_db
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +51,8 @@ class NoiseSpectrum:
     total: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         n = len(self.grid)
         for name in ("quantum", "tech"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -91,6 +95,8 @@ def improvement_db(
     power ratio), and the median over grid points inside ``band``. Both
     spectra must live on the same grid.
     """
+    import numpy as np
+
     if off.grid != on.grid:
         raise DomainError("spectra are on different frequency grids")
     lo, hi = band

@@ -12,19 +12,25 @@ construction, so the unsqueezed quadrature-sum total passes exactly
 through a measured reference point (anchor_freq_hz, anchor_asd). The
 calibration constant is stored, so scaling the optical power afterwards
 via ``with_power`` follows the ideal 1/sqrt(P) law exactly.
+
+The noise formulas take a Python number or an array. A number is
+evaluated with ``math`` and never imports numpy, so building an
+``IfoConfig`` (and with it the calibration) stays numpy-free; numpy is
+imported only where a grid or array is handled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, require
 from .losses import LossElement, chain_efficiency
 from .quadrature import QuadratureState, apply_loss, dephase, readout_variance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Exact SI values (2019 redefinition).
 PLANCK_H = 6.62607015e-34  # J s
@@ -150,6 +156,8 @@ class FrequencyGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("frequency grid must be a non-empty 1-D array")
@@ -165,11 +173,15 @@ class FrequencyGrid:
 
     @classmethod
     def logspace(cls, f_min: float, f_max: float, points: int) -> "FrequencyGrid":
+        import numpy as np
+
         _check_span(f_min, f_max, points)
         return cls(np.geomspace(f_min, f_max, points))
 
     @classmethod
     def linspace(cls, f_min: float, f_max: float, points: int) -> "FrequencyGrid":
+        import numpy as np
+
         _check_span(f_min, f_max, points)
         return cls(np.linspace(f_min, f_max, points))
 
@@ -177,6 +189,8 @@ class FrequencyGrid:
         return int(self.values.size)
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         if not isinstance(other, FrequencyGrid):
             return NotImplemented
         return np.array_equal(self.values, other.values)
@@ -193,11 +207,29 @@ def _check_span(f_min: float, f_max: float, points: int) -> None:
         raise DomainError(f"grid needs at least 2 points, got {points!r}")
 
 
-def _as_positive_freq(f) -> np.ndarray:
-    arr = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("frequency must be positive and finite")
-    return arr
+def _positive_freq(f):
+    """``f`` checked positive and finite, with the ``sqrt`` and ``maximum`` for it.
+
+    A Python number or 0-d array becomes a float and gets ``math.sqrt``
+    and ``max``; anything else becomes a float array and gets numpy's.
+    The operators applied to either are the same, so one formula gives
+    the same bits for a float as for that float in an array. Squares are
+    written ``x * x``: that is how numpy squares an array, while a float's
+    ``x ** 2`` goes through ``pow``, which can differ in the last bit.
+    """
+    message = "frequency must be positive and finite"
+    if not isinstance(f, (int, float)):
+        import numpy as np
+
+        arr = np.asarray(f, dtype=float)
+        if arr.ndim:
+            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+                raise DomainError(message)
+            return arr, np.sqrt, np.maximum
+    f = float(f)
+    if not 0.0 < f < math.inf:
+        raise DomainError(message)
+    return f, math.sqrt, max
 
 
 def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
@@ -208,9 +240,9 @@ def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
     A = shot_scale / (arm_length_eff * sqrt(power_bs)) fixed by the
     anchor calibration. Units: strain / sqrt(Hz).
     """
-    arr = _as_positive_freq(f)
-    out = anchored_flat_level(cfg) * np.sqrt(1.0 + (arr / cfg.sr_pole_hz) ** 2)
-    return float(out) if out.ndim == 0 else out
+    f, sqrt, _ = _positive_freq(f)
+    ratio = f / cfg.sr_pole_hz
+    return anchored_flat_level(cfg) * sqrt(1.0 + ratio * ratio)
 
 
 def technical_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
@@ -220,11 +252,10 @@ def technical_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
     rolling off as (corner/f)^2 in displacement above; referred to strain
     by the effective arm length. Continuous at the corner.
     """
-    arr = _as_positive_freq(f)
-    base = cfg.tech_displacement_asd / cfg.arm_length_eff
-    envelope = np.where(arr <= cfg.tech_corner_hz, 1.0, (cfg.tech_corner_hz / arr) ** 2)
-    out = base * envelope
-    return float(out) if out.ndim == 0 else out
+    f, _, maximum = _positive_freq(f)
+    # Clamped before the division: the ratio is <= 1, so no bin overflows.
+    ratio = cfg.tech_corner_hz / maximum(f, cfg.tech_corner_hz)
+    return cfg.tech_displacement_asd / cfg.arm_length_eff * (ratio * ratio)
 
 
 # GEO 600 operating point used by the command line when no config is given.

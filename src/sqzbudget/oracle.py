@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import check_efficiency, require
 from .quadrature import QuadratureState, apply_loss, dephase, readout_variance
 
@@ -103,6 +101,8 @@ def _sample(
 ) -> SampleRun:
     # One body for both samplers: jitter draws (if any), the field, then
     # one vacuum draw per beam splitter, in that order on one stream.
+    import numpy as np
+
     require(0.0 < v_sq < math.inf, "v_sq", v_sq, "must be > 0 and finite")
     for i, efficiency in enumerate(efficiencies):
         check_efficiency(f"efficiencies[{i}]", efficiency)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-import numpy as np
-
 from .budget import BudgetReport, SweepRow
 from .losses import DegradationRow
 from .oracle import Z_MAX, OracleVerdict
@@ -52,7 +50,7 @@ def _csv(head: Sequence[str], rows) -> str:
     template = ""
     for start in range(0, len(rows), _CSV_CHUNK_ROWS):
         chunk = rows[start : start + _CSV_CHUNK_ROWS]
-        if isinstance(chunk, np.ndarray):
+        if hasattr(chunk, "ravel"):  # a 2-D array, without importing numpy
             cells = chunk.ravel().tolist()
         else:
             cells = [v for row in chunk for v in row]
@@ -70,6 +68,8 @@ def budget_csv(report: BudgetReport) -> str:
     columns are the same totals referred to test-mass motion
     (strain * arm_length_eff, m/sqrt(Hz)).
     """
+    import numpy as np
+
     arm = report.run.ifo.arm_length_eff
     head = [
         "# strain noise budget",
@@ -222,6 +222,8 @@ def oracle_json(verdicts: Sequence[OracleVerdict]) -> str:
 
 def spectrum_svg(report: BudgetReport) -> str:
     """Log-log spectrum plot: squeezing off/on totals plus the parts."""
+    import numpy as np
+
     off, on = report.spectrum_off, report.spectrum_on
     f = off.grid.values
     traces = []

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 _WIDTH, _HEIGHT = 820, 520
@@ -38,6 +39,8 @@ def _fmt(v: float) -> str:
 
 def _points(px: np.ndarray, py: np.ndarray) -> str:
     """Polyline ``points`` text: "x,y" pairs at two decimals, space-separated."""
+    import numpy as np
+
     pairs = np.column_stack((px, py)).ravel().tolist()
     return " ".join(["%.2f,%.2f"] * len(px)) % tuple(pairs)
 
@@ -66,6 +69,8 @@ class _LogAxis:
 
     def place(self, values: Sequence[float]) -> np.ndarray:
         """Pixel coordinates of ``values``, one per value."""
+        import numpy as np
+
         # math.log10, not np.log10: they differ in the last bit on some
         # inputs, which can move a coordinate across a %.2f boundary.
         logs = np.fromiter(map(math.log10, values), dtype=float, count=len(values))
@@ -93,6 +98,8 @@ def render_loglog(
     ylabel: str,
 ) -> str:
     """Render traces on log-log axes; returns the SVG document text."""
+    import numpy as np
+
     if not traces:
         raise DomainError("nothing to plot")
     margin_l, margin_r, margin_t, margin_b = 86.0, 24.0, 48.0, 58.0

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,31 @@ from sqzbudget.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, main
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs main(argv) in a fresh interpreter, then reports whether numpy loaded.
+FRESH_MAIN = """\
+import sys
+from sqzbudget.cli import main
+code = main(sys.argv[1:])
+sys.stdout.write("\\nnumpy loaded: %s\\n" % ("numpy" in sys.modules))
+sys.exit(code)
+"""
+
+
+def run_fresh(argv, cwd, script=FRESH_MAIN):
+    """Run ``script`` with ``argv`` in a new interpreter that imports from src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 class TestBudget:
@@ -67,6 +95,16 @@ class TestBudget:
         assert main(["budget", "--config", str(cfg), "--out", str(out), "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["injected"]["squeeze_db"] == 6
+
+
+    def test_huge_tech_corner_runs_without_warnings(self, tmp_path):
+        cfg = tmp_path / "corner.cfg"
+        cfg.write_text("tech_corner_hz = 1e300\n", encoding="utf-8")
+        proc = run_fresh(["budget", "--config", str(cfg), "--out", str(tmp_path)], tmp_path)
+        assert proc.returncode == EXIT_OK
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 3
+        assert all(line.startswith("wrote ") for line in lines)
 
 
 class TestLedger:
@@ -189,6 +227,33 @@ class TestPreset:
         code = main(["budget", "--config", str(tmp_path / "missing.cfg")])
         assert code == EXIT_CONFIG
         assert "\x1b[" not in capsys.readouterr().err
+
+
+class TestNumpyFreeStart:
+    """Only subcommands that build or read an array import numpy."""
+
+    def test_package_import(self, tmp_path):
+        script = "import sys, sqzbudget; print('numpy' in sys.modules)"
+        proc = run_fresh([], tmp_path, script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, loaded",
+        [
+            (["ledger", "--out", "out"], EXIT_OK, False),
+            (["preset"], EXIT_OK, False),
+            (["--help"], EXIT_OK, False),
+            (["ledger", "--config", "bad.cfg"], EXIT_CONFIG, False),
+            (["budget", "--config", "bad.cfg"], EXIT_CONFIG, False),
+            (["budget", "--out", "out"], EXIT_OK, True),
+        ],
+    )
+    def test_numpy_loads_only_for_arrays(self, argv, code, loaded, tmp_path):
+        (tmp_path / "bad.cfg").write_text("eta_total = 1.5\n", encoding="utf-8")
+        proc = run_fresh(argv, tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.endswith(f"\nnumpy loaded: {loaded}\n")
 
 
 def test_help_exits_zero(capsys):

@@ -119,6 +119,44 @@ class TestTechnicalNoise:
         assert ratio < 0.1
 
 
+class TestScalarAndArrayAgree:
+    """One formula per source: a float and a 1-element array give the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corner=st.floats(1e-3, 1e8),
+        pole=st.floats(1e-2, 1e8),
+        tech=st.floats(0.0, 1e-18),
+        arm=st.floats(1200.0, 1e5),
+        power=st.floats(1.0, 1e6),
+        data=st.data(),
+    )
+    def test_float_and_array_give_the_same_bits(self, corner, pole, tech, arm, power, data):
+        cfg = IfoConfig(
+            arm_length_eff=arm,
+            power_bs=power,
+            sr_pole_hz=pole,
+            tech_displacement_asd=tech,
+            tech_corner_hz=corner,
+        )
+        f = data.draw(
+            st.one_of(
+                st.floats(1e-5, corner),
+                st.just(corner),
+                # Far above the corner, but low enough that the shot ASD,
+                # rising as f / sr_pole_hz, stays a finite float.
+                st.floats(corner, 1e140),
+            ),
+            label="f",
+        )
+        for asd in (shot_noise_asd, technical_noise_asd):
+            scalar = asd(cfg, f)
+            array = asd(cfg, np.array([f]))
+            assert type(scalar) is float
+            assert array.shape == (1,)
+            assert scalar.hex() == float(array[0]).hex()
+
+
 class TestFirstPrinciples:
     def test_formula(self):
         expected = math.sqrt(
