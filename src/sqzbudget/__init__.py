@@ -4,6 +4,14 @@ The package propagates a squeezed vacuum state through optical losses
 and phase jitter, folds the resulting quadrature variance into a
 frequency-domain strain noise budget, and checks the closed-form
 algebra against a Monte-Carlo sampler.
+
+Importing the package does not import numpy: each module imports it
+inside the functions that build or read arrays, and scalar rules use
+``math``, so the command-line subcommands that never touch an array
+start without it. ``cli`` and this module still import their package
+names at module level rather than inside the subcommands, so a tool
+that wraps those names from outside, such as the per-layer tracer in
+``perfbench/spans.py``, finds every one of them.
 """
 
 from .budget import (

@@ -96,7 +96,6 @@ class TestBudget:
         payload = json.loads(capsys.readouterr().out)
         assert payload["injected"]["squeeze_db"] == 6
 
-
     def test_huge_tech_corner_runs_without_warnings(self, tmp_path):
         cfg = tmp_path / "corner.cfg"
         cfg.write_text("tech_corner_hz = 1e300\n", encoding="utf-8")
