@@ -61,12 +61,12 @@ class NoiseSpectrum:
                     f"{name} must have one entry per grid point "
                     f"({arr.shape} vs {n})"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise DomainError(f"{name} must be finite")
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.any(self.quantum <= 0.0) or np.any(self.tech < 0.0):
+        if not (self.quantum > 0.0).all() or not (self.tech >= 0.0).all():
             raise DomainError("quantum must be positive and tech non-negative")
         total = np.hypot(self.quantum, self.tech)
         total.setflags(write=False)
@@ -103,11 +103,13 @@ def improvement_db(
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
         raise DomainError(f"band must satisfy 0 < lo < hi, got {band!r}")
     per_bin = 20.0 * np.log10(off.total / on.total)
+    # The grid is strictly increasing, so the bins with lo <= f <= hi are
+    # one contiguous slice.
     f = off.grid.values
-    mask = (f >= lo) & (f <= hi)
-    if not np.any(mask):
+    start, stop = f.searchsorted(lo, "left"), f.searchsorted(hi, "right")
+    if start >= stop:
         raise DomainError(f"band {band!r} contains no grid points")
-    return per_bin, float(np.median(per_bin[mask]))
+    return per_bin, float(np.median(per_bin[start:stop]))
 
 
 def shot_limited_improvement_db(sqz: float) -> float:

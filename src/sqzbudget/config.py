@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral
 from typing import Callable
 
 from .errors import ConfigError, DomainError, check_efficiency, require
-from .ifo import FrequencyGrid, IfoConfig
+from .ifo import FrequencyGrid, IfoConfig, shot_noise_asd
 from .losses import LossElement
 from .quadrature import SqueezeLevel
 
@@ -70,6 +71,11 @@ class RunConfig:
         spacing = self.grid_spacing
         rule = f"must be one of {_GRID_SPACINGS}"
         require(spacing in _GRID_SPACINGS, "grid_spacing", spacing, rule)
+        # The shot ASD rises with f, so it is largest at f_max_hz. On the
+        # float path an overflow gives inf, not a warning.
+        shot = shot_noise_asd(self.ifo, hi)
+        rule = f"must keep the unsqueezed shot ASD finite (sr_pole_hz = {self.ifo.sr_pole_hz!r})"
+        require(shot < math.inf, "f_max_hz", hi, rule, "sr_pole_hz")
 
         # The band must be ordered and overlap the grid; the anchor must lie on it.
         b_lo, b_hi = self.band_min_hz, self.band_max_hz
@@ -83,9 +89,8 @@ class RunConfig:
         require(lo <= anchor <= hi, "anchor_freq_hz", anchor, rule, "f_min_hz", "f_max_hz")
 
     def grid(self) -> FrequencyGrid:
-        if self.grid_spacing == "linear":
-            return FrequencyGrid.linspace(self.f_min_hz, self.f_max_hz, self.grid_points)
-        return FrequencyGrid.logspace(self.f_min_hz, self.f_max_hz, self.grid_points)
+        """The analysis grid, memoised: runs with equal grid fields share one object."""
+        return _grid(self.grid_spacing, self.f_min_hz, self.f_max_hz, self.grid_points)
 
     def effective_chain(self) -> tuple[LossElement, ...]:
         """Loss chain the budget actually uses.
@@ -111,6 +116,15 @@ class RunConfig:
             value = getattr(_part(self, owner), key)
             lines.append(f"{key} = {_format(value)}")
         return "\n".join(lines) + "\n"
+
+
+# One entry: a sweep's runs all ask for the same grid. FrequencyGrid is
+# frozen and its values read-only, so sharing it is safe.
+@lru_cache(maxsize=1)
+def _grid(spacing: str, f_min: float, f_max: float, points: int) -> FrequencyGrid:
+    if spacing == "linear":
+        return FrequencyGrid.linspace(f_min, f_max, points)
+    return FrequencyGrid.logspace(f_min, f_max, points)
 
 
 def default_run_config() -> RunConfig:

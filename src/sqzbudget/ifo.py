@@ -193,6 +193,8 @@ class FrequencyGrid:
 
         if not isinstance(other, FrequencyGrid):
             return NotImplemented
+        if self.values is other.values:
+            return True
         return np.array_equal(self.values, other.values)
 
     __hash__ = None  # type: ignore[assignment]
@@ -223,7 +225,7 @@ def _positive_freq(f):
 
         arr = np.asarray(f, dtype=float)
         if arr.ndim:
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+            if not np.isfinite(arr).all() or not (arr > 0.0).all():
                 raise DomainError(message)
             return arr, np.sqrt, np.maximum
     f = float(f)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqzbudget import config
 from sqzbudget import (
     GEO600,
     ConfigError,
@@ -14,6 +15,7 @@ from sqzbudget import (
     FrequencyGrid,
     IfoConfig,
     NoiseSpectrum,
+    RunConfig,
     SqueezeLevel,
     build_report,
     default_run_config,
@@ -69,6 +71,26 @@ def test_noise_spectrum_validation():
         NoiseSpectrum(GRID, -q, t)
 
 
+@pytest.mark.parametrize(
+    "quantum, tech, message",
+    [
+        ([1e-21, math.nan], [0.0, 0.0], "quantum must be finite"),
+        ([1e-21, math.inf], [0.0, 0.0], "quantum must be finite"),
+        ([1e-21, 1e-21], [0.0, math.inf], "tech must be finite"),
+        ([1e-21, 0.0], [0.0, 0.0], "quantum must be positive and tech non-negative"),
+        ([1e-21, -1e-21], [0.0, 0.0], "quantum must be positive and tech non-negative"),
+        ([1e-21, 1e-21], [0.0, -1e-22], "quantum must be positive and tech non-negative"),
+        ([1e-21], [0.0, 0.0], "quantum must have one entry per grid point ((1,) vs 2)"),
+        ([1e-21, 1e-21], [0.0], "tech must have one entry per grid point ((1,) vs 2)"),
+    ],
+)
+def test_noise_spectrum_rejects(quantum, tech, message):
+    grid = FrequencyGrid(np.array([100.0, 1000.0]))
+    with pytest.raises(DomainError) as info:
+        NoiseSpectrum(grid, np.array(quantum), np.array(tech))
+    assert str(info.value) == message
+
+
 class TestImprovement:
     def test_identical_spectra_give_zero_everywhere(self):
         off = total_noise(GEO600, GRID, 1.0)
@@ -78,9 +100,20 @@ class TestImprovement:
 
     def test_grid_mismatch_rejected(self):
         off = total_noise(GEO600, GRID, 1.0)
-        other = total_noise(GEO600, FrequencyGrid.logspace(10.0, 10000.0, 401), 0.7)
-        with pytest.raises(DomainError):
-            improvement_db(off, other)
+        # a different size, and the same size with different values
+        for grid in (FrequencyGrid.logspace(10.0, 10000.0, 401), FrequencyGrid(GRID.values * 1.001)):
+            other = total_noise(GEO600, grid, 0.7)
+            with pytest.raises(DomainError) as info:
+                improvement_db(off, other)
+            assert str(info.value) == "spectra are on different frequency grids"
+
+    def test_band_between_two_grid_points_rejected(self):
+        off = total_noise(GEO600, GRID, 1.0)
+        a, b = float(GRID.values[200]), float(GRID.values[201])
+        band = (a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0)
+        with pytest.raises(DomainError) as info:
+            improvement_db(off, off, band)
+        assert str(info.value) == f"band {band!r} contains no grid points"
 
     def test_pure_shot_band_reproduces_the_squeezing_factor(self):
         # with the technical envelope off the improvement is flat and
@@ -136,6 +169,114 @@ class TestImprovement:
         assert np.all(report.improvement_db >= 0.0)
         f = report.spectrum_off.grid.values
         assert report.improvement_db[f <= 100.0].max() < 0.1
+
+
+
+@st.composite
+def grids_and_bands(draw):
+    """A log or linear grid, and a band whose edges sit on grid points,
+    one ulp off them, between them, or beyond the grid."""
+    points = draw(st.integers(2, 2000))
+    f_min = draw(st.floats(1.0, 1e3))
+    f_max = f_min * draw(st.floats(1.001, 1e4))
+    spacing = draw(st.sampled_from([FrequencyGrid.logspace, FrequencyGrid.linspace]))
+    grid = spacing(f_min, f_max, points)
+    f = grid.values
+
+    def edge():
+        i = draw(st.integers(0, points - 1))
+        kind = draw(st.sampled_from(["on", "ulp below", "ulp above", "between", "beyond"]))
+        if kind == "on":
+            return float(f[i])
+        if kind == "ulp below":
+            return float(np.nextafter(f[i], 0.0))
+        if kind == "ulp above":
+            return float(np.nextafter(f[i], np.inf))
+        if kind == "between":
+            j = min(i + 1, points - 1)
+            return float(f[i] + (f[j] - f[i]) * draw(st.floats(0.0, 1.0)))
+        if draw(st.booleans()):
+            return float(f[0] * draw(st.floats(1e-3, 1.0, exclude_max=True)))
+        return float(f[-1] * draw(st.floats(1.0, 1e3, exclude_min=True)))
+
+    lo, hi = sorted((edge(), edge()))
+    return grid, (lo, hi)
+
+
+@given(case=grids_and_bands(), sqz=st.floats(0.1, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_band_median_equals_the_masked_median_bit_for_bit(case, sqz):
+    grid, (lo, hi) = case
+    off = total_noise(GEO600, grid, 1.0)
+    on = total_noise(GEO600, grid, sqz)
+    f = grid.values
+    mask = (f >= lo) & (f <= hi)
+    if lo < hi and mask.any():
+        per_bin, median = improvement_db(off, on, (lo, hi))
+        assert median == float(np.median(per_bin[mask]))
+    else:
+        with pytest.raises(DomainError):
+            improvement_db(off, on, (lo, hi))
+
+
+class TestGridMemo:
+    """Runs with equal grid fields share one validated FrequencyGrid."""
+
+    def test_runs_differing_outside_the_grid_share_one_grid(self):
+        a = RunConfig().grid()
+        b = RunConfig(eta_total=0.3, sigma_jitter_rad=0.1, band_min_hz=500.0).grid()
+        assert a is b
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"grid_spacing": "linear"},
+            {"f_min_hz": 20.0},
+            {"f_max_hz": 20000.0},
+            {"grid_points": 999},
+        ],
+    )
+    def test_changing_a_grid_field_gives_a_new_grid(self, change):
+        base = RunConfig().grid()
+        changed = RunConfig(**change).grid()
+        assert changed is not base
+        assert changed != base
+        assert RunConfig().grid() == base
+
+    def test_shared_values_stay_read_only(self):
+        grid = RunConfig().grid()
+        assert not grid.values.flags.writeable
+        with pytest.raises(ValueError):
+            grid.values[0] = 1.0
+        assert RunConfig().grid().values[0] == 10.0
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("eta", [0.3, 0.62, 0.9]), ("injected_db", [3.0, 10.0, 20.0]), ("sigma", [0.0, 0.05, 0.3])],
+    )
+    def test_sweep_shares_one_grid_and_matches_fresh_reports(self, axis, values, monkeypatch):
+        from sqzbudget import budget
+
+        run = default_run_config()
+        grids = []
+
+        def recording_build_report(run_v):
+            report = build_report(run_v)
+            grids.append(report.spectrum_off.grid)
+            return report
+
+        monkeypatch.setattr(budget, "build_report", recording_build_report)
+        rows = sweep(run, axis, values)
+        assert len(grids) == len(values)
+        assert all(g is grids[0] for g in grids)
+        monkeypatch.undo()
+
+        for row, value in zip(rows, values):
+            config._grid.cache_clear()
+            report = build_report(budget._run_at(run, axis, value))
+            assert row.value == value
+            for name in ("broadband_improvement_db", "shot_limited_improvement_db", "rate_gain"):
+                assert getattr(row, name).hex() == getattr(report, name).hex()
 
 
 class TestRateGain:

@@ -105,6 +105,21 @@ class TestBudget:
         assert len(lines) == 3
         assert all(line.startswith("wrote ") for line in lines)
 
+    @pytest.mark.parametrize("command", ["budget", "ledger"])
+    def test_grid_too_wide_for_the_shot_asd_exits_2_without_warnings(self, command, tmp_path):
+        # The shot ASD rises as f / sr_pole_hz and overflows far below f = 1e200.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("f_max_hz = 1e200\nband_max_hz = 5000\n", encoding="utf-8")
+        proc = run_fresh([command, "--config", str(cfg), "--out", str(tmp_path / "o")], tmp_path)
+        assert proc.returncode == EXIT_CONFIG
+        message = (
+            f"error: {cfg}: line 1: f_max_hz = 1e+200 violates bound: "
+            "must keep the unsqueezed shot ASD finite (sr_pole_hz = 400.0)\n"
+        )
+        assert proc.stderr == message
+        assert proc.stdout == "\nnumpy loaded: False\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestLedger:
     def test_writes_table(self, tmp_path, capsys):

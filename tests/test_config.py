@@ -174,6 +174,8 @@ class TestRejection:
         ("arm_length_eff = 1e-300", "arm_length_eff at anchor_freq_hz", "square to a finite",
          "5.444444444444445e+280", 1),
         ("anchor_asd = 1e300", "anchor_asd", "square to a finite", "1e+300", 1),
+        ("f_max_hz = 1e200\nband_max_hz = 5000", "f_max_hz",
+         "unsqueezed shot ASD finite (sr_pole_hz = 400.0)", "1e+200", 1),
         ("antisqueeze_db = 301", "antisqueeze_db", "<= 300.0", "301.0", 1),
         ("arm_length_eff = 1e-300\npower_bs = 1e-300", "arm_length_eff * sqrt(power_bs)",
          "> 0 and finite", "0.0", 1),

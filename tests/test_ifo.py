@@ -92,6 +92,15 @@ class TestShotNoise:
             shot_noise_asd(GEO600, np.array([10.0, -5.0]))
 
 
+@pytest.mark.parametrize("asd", [shot_noise_asd, technical_noise_asd])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_array_with_a_bad_frequency_is_rejected(asd, bad):
+    f = np.array([10.0, bad, 100.0])
+    with pytest.raises(DomainError) as info:
+        asd(GEO600, f)
+    assert str(info.value) == "frequency must be positive and finite"
+
+
 class TestTechnicalNoise:
     def test_displacement_floor_at_100_hz(self):
         assert technical_noise_asd(GEO600, 100.0) == pytest.approx(
@@ -124,6 +133,8 @@ class TestScalarAndArrayAgree:
 
     # corner / f and f / pole here square differently under pow than under x * x.
     @example(corner=82.6, pole=568.5, tech=1e-18, arm=1200.0, power=2700.0, f=58192.1, at=False)
+    # Near the widest grid RunConfig accepts at the smallest pole drawn.
+    @example(corner=1e-3, pole=1e-2, tech=1e-18, arm=1200.0, power=2700.0, f=1e152, at=False)
     @settings(max_examples=300, deadline=None)
     @given(
         corner=st.floats(1e-3, 1e8),
@@ -131,9 +142,10 @@ class TestScalarAndArrayAgree:
         tech=st.floats(0.0, 1e-18),
         arm=st.floats(1200.0, 1e5),
         power=st.floats(1.0, 1e6),
-        # Up to far above any corner, but low enough that the shot ASD,
-        # rising as f / sr_pole_hz, stays a finite float.
-        f=st.floats(1e-5, 1e140),
+        # Up to far above any corner. RunConfig rejects an f_max_hz where
+        # the shot ASD, rising as f / sr_pole_hz, is not a finite float:
+        # (1e152 / 1e-2)**2 = 1e308 is still finite.
+        f=st.floats(1e-5, 1e152),
         at=st.booleans(),
     )
     def test_float_and_array_give_the_same_bits(self, corner, pole, tech, arm, power, f, at):
@@ -206,6 +218,14 @@ class TestFrequencyGrid:
             FrequencyGrid(np.array([10.0, 5.0, 20.0]))
         with pytest.raises(DomainError):
             FrequencyGrid(np.array([-1.0, 5.0]))
+
+    def test_distinct_grids_with_equal_values_compare_equal(self):
+        a = FrequencyGrid.logspace(10.0, 100.0, 5)
+        b = FrequencyGrid(a.values.copy())
+        assert a.values is not b.values
+        assert a == b
+        assert not a != b
+        assert a != FrequencyGrid.logspace(10.0, 100.0, 6)
 
     def test_values_are_read_only(self):
         grid = FrequencyGrid.logspace(10.0, 100.0, 5)
