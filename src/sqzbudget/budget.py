@@ -185,6 +185,14 @@ def build_report(run: RunConfig) -> BudgetReport:
     sqz = squeezing_factor(state, chain, run.sigma_jitter_rad)
     grid = run.grid()
     off = total_noise(run.ifo, grid, 1.0)
+    # Anti-squeezing read out (sqz > 1) can overflow a quantum ASD that
+    # RunConfig found finite unsqueezed. The shot ASD rises with f, so
+    # the last bin, at f_max_hz, is the largest; a float product that
+    # overflows gives inf, not the numpy warning the array would.
+    peak = sqz * float(off.quantum[-1])
+    rule = "must keep the squeezed quantum ASD finite up to f_max_hz at this injection_angle_rad"
+    require(peak < math.inf, "antisqueeze_db", run.level.antisqueeze_db, rule,
+            "injection_angle_rad", "f_max_hz")
     on = total_noise(run.ifo, grid, sqz)
     per_bin, band_median = improvement_db(
         off, on, (run.band_min_hz, run.band_max_hz)

@@ -3,12 +3,15 @@
 All numbers are written with 9 significant digits and all JSON keys are
 sorted, so identical runs produce byte-identical files. ``to_json`` and
 ``_csv`` apply that rule, so the emitters hand them raw values. ``_csv``
-formats a table column-wise: it builds one row template from the cell
-types of the first row (``%s`` for a string, ``%.9g`` for a number,
-which writes the same bytes as ``fmt9``) and applies it to a few
-thousand rows at a time with a single ``%`` operation, so no numpy
-scalar and no per-cell call reaches the formatter. Nothing here writes
-timestamps, hostnames, or absolute paths.
+writes a few thousand rows at a time. A 2-D float array (the spectra
+table) goes through ``_numfmt.format_rows``, which computes each cell's
+``%.9g`` digits with numpy array operations and hands any cell it cannot
+prove exact (NaN, inf, extreme magnitudes, near-ties) back to ``%``
+with the rest of its row. A list of row tuples (ledger, sweep) gets one
+row template from the first row's cell types (``%s`` for a string,
+``%.9g`` for a number) applied with a single ``%`` operation. Either
+way the bytes are those of ``fmt9``. Nothing here writes timestamps,
+hostnames, or absolute paths.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
+from ._numfmt import format_rows
 from .budget import BudgetReport, SweepRow
 from .losses import DegradationRow
 from .oracle import Z_MAX, OracleVerdict
@@ -35,8 +39,10 @@ def fmt9(value: float) -> str:
     return f"{float(value):.9g}"
 
 
-# Rows formatted per ``%`` operation: bounds the cells held at once.
-_CSV_CHUNK_ROWS = 4096
+# Rows formatted per step: bounds the memory held at once. Small enough
+# that the array formatter's temporaries for the 1000-point preset stay
+# well below what the interpreter and numpy already hold.
+_CSV_CHUNK_ROWS = 512
 
 
 def _csv(head: Sequence[str], rows) -> str:
@@ -47,13 +53,13 @@ def _csv(head: Sequence[str], rows) -> str:
     would write them; strings pass through unchanged.
     """
     parts = [line + "\n" for line in head]
+    if hasattr(rows, "ravel"):  # a 2-D array, without importing numpy
+        parts += format_rows(rows, "%.9g", ",", "\n", _CSV_CHUNK_ROWS)
+        return "".join(parts)
     template = ""
     for start in range(0, len(rows), _CSV_CHUNK_ROWS):
         chunk = rows[start : start + _CSV_CHUNK_ROWS]
-        if hasattr(chunk, "ravel"):  # a 2-D array, without importing numpy
-            cells = chunk.ravel().tolist()
-        else:
-            cells = [v for row in chunk for v in row]
+        cells = [v for row in chunk for v in row]
         if not template:
             first = cells[: len(chunk[0])]
             template = ",".join(["%s" if isinstance(v, str) else "%.9g" for v in first]) + "\n"

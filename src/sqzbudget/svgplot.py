@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from ._numfmt import format_rows
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -21,6 +22,8 @@ _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 _WIDTH, _HEIGHT = 820, 520
 # Largest plottable value: the decade above it would not be a float.
 _MAX_VALUE = 1e308
+# Points formatted per step: bounds the memory held at once.
+_CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -38,11 +41,17 @@ def _fmt(v: float) -> str:
 
 
 def _points(px: np.ndarray, py: np.ndarray) -> str:
-    """Polyline ``points`` text: "x,y" pairs at two decimals, space-separated."""
+    """Polyline ``points`` text: "x,y" pairs at two decimals, space-separated.
+
+    Written by ``_numfmt.format_rows``, which computes the ``%.2f``
+    digits with numpy array operations and leaves a pair holding a
+    near-tie, NaN, inf or a value of 1e6 or more to ``%``, so the text
+    is exactly ``"%.2f,%.2f" % (x, y)`` per point.
+    """
     import numpy as np
 
-    pairs = np.column_stack((px, py)).ravel().tolist()
-    return " ".join(["%.2f,%.2f"] * len(px)) % tuple(pairs)
+    pairs = np.column_stack((px, py))
+    return "".join(format_rows(pairs, "%.2f", ",", " ", _CHUNK_POINTS))[:-1]
 
 
 def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str, dash=None) -> str:
@@ -175,8 +184,12 @@ def render_loglog(
         )
     )
 
+    placed_x = {}  # id(x) -> pixels: traces that share a grid place it once
     for trace, (x, y) in zip(traces, data):
-        points = _points(ax_x.place(x.tolist()), ax_y.place(y.tolist()))
+        px = placed_x.get(id(x))
+        if px is None:
+            px = placed_x[id(x)] = ax_x.place(x.tolist())
+        points = _points(px, ax_y.place(y.tolist()))
         dash = ' stroke-dasharray="%s"' % trace.dash if trace.dash else ""
         out.append(
             '<polyline points="%s" fill="none" stroke="%s" stroke-width="%s"%s/>'

@@ -417,3 +417,17 @@ class TestRequiredEfficiency:
             required_efficiency_for_improvement(3.0, SqueezeLevel(0.0, 0.0))
         with pytest.raises(DomainError):
             required_efficiency_for_improvement(0.0, SqueezeLevel(10.0, 15.0))
+
+
+def test_antisqueezed_quantum_overflow_names_the_keys():
+    # 300 dB of anti-squeezing read out at 90 degrees: the unsqueezed shot
+    # ASD at f_max_hz is finite (RunConfig checks that), its product with
+    # the squeezing factor is not.
+    run = config.parse_config(
+        "anchor_asd = 1e150\nsr_pole_hz = 1\nanchor_freq_hz = 10\n"
+        "f_max_hz = 1e153\nsqueeze_db = 0\nantisqueeze_db = 300\n"
+        "injection_angle_rad = 1.5707963\neta_total = 1\n"
+    )
+    with pytest.raises(DomainError, match="antisqueeze_db = 300.0 violates bound") as exc:
+        build_report(run)
+    assert exc.value.keys == ("antisqueeze_db", "injection_angle_rad", "f_max_hz")

@@ -105,6 +105,25 @@ class TestBudget:
         assert len(lines) == 3
         assert all(line.startswith("wrote ") for line in lines)
 
+    def test_antisqueezed_readout_too_large_exits_2_without_warnings(self, tmp_path):
+        # Finite unsqueezed, but reading out 300 dB of anti-squeezing
+        # multiplies the quantum ASD at f_max_hz past the float range.
+        cfg = tmp_path / "anti.cfg"
+        cfg.write_text(
+            "anchor_asd = 1e150\nsr_pole_hz = 1\nanchor_freq_hz = 10\n"
+            "f_max_hz = 1e153\nsqueeze_db = 0\nantisqueeze_db = 300\n"
+            "injection_angle_rad = 1.5707963\neta_total = 1\n",
+            encoding="utf-8",
+        )
+        proc = run_fresh(["budget", "--config", str(cfg), "--out", str(tmp_path / "o")], tmp_path)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error: antisqueeze_db = 300.0 violates bound: ")
+        assert proc.stderr.count("\n") == 1
+        for key in ("antisqueeze_db", "injection_angle_rad", "f_max_hz"):
+            assert key in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["budget", "ledger"])
     def test_grid_too_wide_for_the_shot_asd_exits_2_without_warnings(self, command, tmp_path):
         # The shot ASD rises as f / sr_pole_hz and overflows far below f = 1e200.

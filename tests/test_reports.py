@@ -5,14 +5,17 @@ import io
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqzbudget import build_report, default_run_config, standard_suite, sweep
+from sqzbudget import IfoConfig, build_report, default_run_config, standard_suite, sweep
 from sqzbudget import report as report_module
+from sqzbudget import svgplot
+from sqzbudget._numfmt import format_rows
 from sqzbudget.cli import EXIT_OK, main
 from sqzbudget.errors import DomainError
 from sqzbudget.svgplot import Trace, _fmt, _LogAxis, _points, render_loglog
@@ -133,6 +136,100 @@ def test_polyline_points_match_the_per_point_writer(case):
     assert placed_x.tolist() == px and placed_y.tolist() == py
     expected = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in zip(px, py))
     assert _points(placed_x, placed_y) == expected
+
+
+def _kernel(values, spec):
+    """``values`` as a one-column table through the vectorised formatter."""
+    table = np.array(values, dtype=float).reshape(-1, 1)
+    return "".join(format_rows(table, spec, ",", "\n", 4096))
+
+
+_POWERS = [float("1e%d" % k) for k in range(-300, 301)]
+_G9_EDGES = [
+    *_POWERS,
+    *(math.nextafter(p, 0.0) for p in _POWERS),
+    *(math.nextafter(p, math.inf) for p in _POWERS),
+    123456789.5,  # an exact tie: % rounds half to even
+    999999999.5,  # rounds up into the next decade
+    9.9999999995e-05,  # rounds up from exponent form into fixed form
+    # Near-ties where the scaling by 10**(8 - e) is inexact.
+    3.312928265e-194,
+    9.991232935e-219,
+    4.526866565e89,
+    7.990148025e210,
+    1e16,
+    0.0,
+    5e-324,
+    1e308,
+    math.nan,
+    math.inf,
+]
+
+
+def test_g9_kernel_matches_percent_on_edge_cases():
+    values = _G9_EDGES + [-v for v in _G9_EDGES]
+    assert _kernel(values, "%.9g").splitlines() == ["%.9g" % v for v in values]
+    pinned = [999999999.5, 9.9999999995e-05, 1e16, -0.0, 0.0, math.nan, -math.inf]
+    assert _kernel(pinned, "%.9g").splitlines() == [
+        "1e+09", "0.0001", "1e+16", "-0", "0", "nan", "-inf",
+    ]
+
+
+def test_f2_kernel_matches_percent_on_edge_cases():
+    values = [
+        0.125, 0.375, -0.001, -0.0, 0.0, 999999.995, 999999.994, 1e6, 1234567.891, 1e8,
+        0.005, 0.015, 2.675, 796.0, 5e-324, 1e300, math.nan, math.inf, -math.inf,
+    ]
+    values += [-v for v in values]
+    assert _kernel(values, "%.2f").splitlines() == ["%.2f" % v for v in values]
+    pinned = [0.125, 0.375, -0.001, -0.0, 999999.995, 1e8, math.nan]
+    assert _kernel(pinned, "%.2f").splitlines() == [
+        "0.12", "0.38", "-0.00", "-0.00", "999999.99", "100000000.00", "nan",
+    ]
+
+
+def test_csv_array_with_fallback_rows_on_a_chunk_boundary():
+    chunk = report_module._CSV_CHUNK_ROWS
+    rng = np.random.default_rng(8)
+    table = rng.lognormal(0.0, 30.0, (chunk + 3, 3)) * rng.choice([-1.0, 1.0], (chunk + 3, 3))
+    table[chunk - 1, 1] = math.nan  # last row of the first chunk
+    table[chunk, 0] = 123456789.5  # first row of the second: a tie
+    table[chunk + 2, 2] = 1e300  # outside the fast range
+    head = ["# a table", "a,b,c"]
+    expected = _csv_per_cell(head, [tuple(row) for row in table.tolist()])
+    assert report_module._csv(head, table) == expected
+
+
+def test_traces_sharing_an_x_array_render_like_distinct_copies(monkeypatch):
+    f = np.geomspace(10.0, 1e4, 500)
+    ys = [np.sqrt(1.0 + (f / 400.0) ** 2) * 1e-22 * (k + 1) for k in range(4)]
+    calls = []
+    place = svgplot._LogAxis.place
+    monkeypatch.setattr(svgplot._LogAxis, "place", lambda self, v: calls.append(1) or place(self, v))
+    labels = dict(title="t", xlabel="x", ylabel="y")
+    shared = render_loglog([Trace(str(k), "#000", f, y) for k, y in enumerate(ys)], **labels)
+    placed_shared = len(calls)
+    copies = [Trace(str(k), "#000", f.copy(), y) for k, y in enumerate(ys)]
+    assert shared == render_loglog(copies, **labels)
+    # The shared grid is placed once instead of once per trace.
+    assert len(calls) - placed_shared == placed_shared + 3
+
+
+def test_zero_technical_column_matches_the_per_cell_writer():
+    run = replace(
+        default_run_config(), ifo=IfoConfig(tech_displacement_asd=0.0), grid_points=20011
+    )
+    report = build_report(run)
+    off, on = report.spectrum_off, report.spectrum_on
+    arm = run.ifo.arm_length_eff
+    columns = (
+        off.grid.values, off.total, on.total, report.improvement_db,
+        off.quantum, off.tech, off.total * arm, on.total * arm,
+    )
+    rows = list(zip(*(column.tolist() for column in columns)))
+    assert {row[5] for row in rows} == {0.0}
+    text = budget_csv(report)
+    assert text == _csv_per_cell(text.splitlines()[:4], rows)
 
 
 class TestBudgetCsv:
