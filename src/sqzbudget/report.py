@@ -3,13 +3,13 @@
 All numbers are written with 9 significant digits and all JSON keys are
 sorted, so identical runs produce byte-identical files. ``to_json`` and
 ``_csv`` apply that rule, so the emitters hand them raw values. ``_csv``
-writes a few thousand rows at a time. A 2-D float array (the spectra
+writes a few hundred rows at a time. A 2-D float array (the spectra
 table) goes through ``_numfmt.format_rows``, which computes each cell's
 ``%.9g`` digits with numpy array operations and hands any cell it cannot
 prove exact (NaN, inf, extreme magnitudes, near-ties) back to ``%``
 with the rest of its row. A list of row tuples (ledger, sweep) gets one
 row template from the first row's cell types (``%s`` for a string,
-``%.9g`` for a number) applied with a single ``%`` operation. Either
+``%.9g`` for a number) applied with one ``%`` operation per chunk. Either
 way the bytes are those of ``fmt9``. Nothing here writes timestamps,
 hostnames, or absolute paths.
 """
