@@ -1,7 +1,6 @@
 """Exact vectorised ``%.9g`` and ``%.2f`` text for 2-D float tables.
 
-``"".join(format_rows(table, spec, sep, end, chunk_rows))`` is the
-same string as
+``"".join(format_rows(table, spec, sep, end))`` is the same string as
 
     "".join(sep.join([spec] * cols) % tuple(row) + end for row in table)
 
@@ -10,8 +9,9 @@ cell's correctly rounded decimal digits and exponent with float array
 operations, writes them into a fixed-width byte frame with a pad byte
 (0) for each absent character, and drops the pad bytes of a whole chunk
 in one pass (``bytes.translate``, about twice as fast as a boolean
-mask on these frames). A cell the rules below cannot prove exact is formatted
-by ``%`` instead, together with the rest of its row.
+mask on these frames). A chunk holds about ``_CHUNK_CELLS`` cells, which
+bounds the memory held at once. A cell the rules below cannot prove
+exact is formatted by ``%`` instead, together with the rest of its row.
 
 Exactness rule for ``%.9g``, on finite x with 1e-290 <= |x| < 1e290:
 
@@ -199,24 +199,33 @@ def _f2_frame(x, sep, frame):
 # Frame builder and 8-byte words per cell, by format.
 _FRAMES = {"%.9g": (_g9_frame, 4), "%.2f": (_f2_frame, 2)}
 
+# Cells formatted per step: 512 rows of the 8-column budget table, so
+# the frame and temporaries for the 1000-point preset stay well below
+# what the interpreter and numpy already hold.
+_CHUNK_CELLS = 4096
 
-def format_rows(table, spec: str, sep: str, end: str, chunk_rows: int) -> list[str]:
-    """Rows of a 2-D float array as ``spec`` text, exactly as ``%`` writes it.
 
-    Cells are joined by ``sep`` and every row ends with ``end`` (one
-    ASCII character each). Returns one string per ``chunk_rows`` rows,
-    which bounds the memory held at once. A row holding a cell the fast
-    path cannot prove exact is written by ``%`` as a whole.
+def format_rows(table, spec: str, sep: str, end: str) -> list[str]:
+    """Rows of a number table as ``spec`` text, exactly as ``%`` writes them.
+
+    ``table`` is a 2-D float array or a sequence of equal-length rows of
+    numbers. Cells are joined by ``sep`` and every row ends with ``end``
+    (one ASCII character each). Returns one string per chunk of rows, and
+    none for an empty table. A row holding a cell the fast path cannot
+    prove exact is written by ``%`` as a whole.
     """
+    if not len(table):
+        return []
     import numpy as np
 
     table = np.asarray(table, dtype=float)
     cols = table.shape[1]
     seps = np.array([ord(sep)] * (cols - 1) + [ord(end)], dtype=np.int64)
     template = sep.join([spec] * cols) + end
+    step = max(1, _CHUNK_CELLS // cols)
     return [
-        _format_chunk(table[start : start + chunk_rows], spec, seps, template)
-        for start in range(0, len(table), chunk_rows)
+        _format_chunk(table[start : start + step], spec, seps, template)
+        for start in range(0, len(table), step)
     ]
 
 

@@ -107,8 +107,8 @@ def improvement_db(
     # one contiguous slice.
     f = off.grid.values
     start, stop = f.searchsorted(lo, "left"), f.searchsorted(hi, "right")
-    if start >= stop:
-        raise DomainError(f"band {band!r} contains no grid points")
+    rule = f"band up to band_max_hz = {hi!r} must hold at least one of the {len(f)} grid points"
+    require(start < stop, "band_min_hz", lo, rule, "band_max_hz", "grid_points")
     return per_bin, float(np.median(per_bin[start:stop]))
 
 
@@ -247,24 +247,21 @@ def sweep(run: RunConfig, axis: str, values) -> tuple[SweepRow, ...]:
 
     ``axis`` is one of ``eta`` (overall efficiency), ``injected_db``
     (injected squeezing, anti-squeezing floored at the configured
-    level), or ``sigma`` (phase jitter RMS). Every value's RunConfig is
-    built up front, so an invalid value aborts the whole sweep naming
-    its index before any budget is evaluated.
+    level), or ``sigma`` (phase jitter RMS). Values are evaluated in
+    order; the first one whose RunConfig or budget is invalid aborts the
+    whole sweep with an error naming the axis and its index.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}'; expected one of {SWEEP_AXES}")
     values = [float(v) for v in values]
     if len(values) == 0:
         raise ConfigError("sweep needs at least one value")
-    runs = []
+    rows = []
     for i, v in enumerate(values):
         try:
-            runs.append(_run_at(run, axis, v))
+            report = build_report(_run_at(run, axis, v))
         except DomainError as exc:
             raise DomainError(f"sweep {axis} value [{i}]: {exc}", *exc.keys) from None
-    rows = []
-    for v, run_v in zip(values, runs):
-        report = build_report(run_v)
         rows.append(
             SweepRow(
                 value=v,

@@ -1,17 +1,16 @@
 """Output emitters: CSV spectra, JSON summary, SVG plot, ledger table.
 
 All numbers are written with 9 significant digits and all JSON keys are
-sorted, so identical runs produce byte-identical files. ``to_json`` and
-``_csv`` apply that rule, so the emitters hand them raw values. ``_csv``
-writes a few hundred rows at a time. A 2-D float array (the spectra
-table) goes through ``_numfmt.format_rows``, which computes each cell's
-``%.9g`` digits with numpy array operations and hands any cell it cannot
-prove exact (NaN, inf, extreme magnitudes, near-ties) back to ``%``
-with the rest of its row. A list of row tuples (ledger, sweep) gets one
-row template from the first row's cell types (``%s`` for a string,
-``%.9g`` for a number) applied with one ``%`` operation per chunk. Either
-way the bytes are those of ``fmt9``. Nothing here writes timestamps,
-hostnames, or absolute paths.
+sorted, so identical runs produce byte-identical files. ``to_json``,
+``_csv`` and ``ledger_csv`` apply that rule, so the emitters hand them
+raw values. ``_csv`` writes an all-number table (the spectra, a sweep)
+through ``_numfmt.format_rows``, which computes each cell's ``%.9g``
+digits with numpy array operations and hands any row holding a cell it
+cannot prove exact (NaN, inf, extreme magnitudes, near-ties) back to
+``%``. The ledger has a text column and must not load numpy, so it is
+written with one literal ``%`` row format. Either way the bytes are
+those of ``fmt9``. Nothing here writes timestamps, hostnames, or
+absolute paths.
 """
 
 from __future__ import annotations
@@ -39,32 +38,13 @@ def fmt9(value: float) -> str:
     return f"{float(value):.9g}"
 
 
-# Rows formatted per step: bounds the memory held at once. Small enough
-# that the array formatter's temporaries for the 1000-point preset stay
-# well below what the interpreter and numpy already hold.
-_CSV_CHUNK_ROWS = 512
-
-
 def _csv(head: Sequence[str], rows) -> str:
     """Header lines, then one comma-joined line per row.
 
-    ``rows`` is a 2-D float array or a list of row tuples whose cells
-    have the types of the first row's. Numbers are written as ``fmt9``
-    would write them; strings pass through unchanged.
+    ``rows`` is a 2-D float array or a sequence of equal-length rows of
+    numbers, each written as ``fmt9`` would write it.
     """
-    parts = [line + "\n" for line in head]
-    if hasattr(rows, "ravel"):  # a 2-D array, without importing numpy
-        parts += format_rows(rows, "%.9g", ",", "\n", _CSV_CHUNK_ROWS)
-        return "".join(parts)
-    template = ""
-    for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-        chunk = rows[start : start + _CSV_CHUNK_ROWS]
-        cells = [v for row in chunk for v in row]
-        if not template:
-            first = cells[: len(chunk[0])]
-            template = ",".join(["%s" if isinstance(v, str) else "%.9g" for v in first]) + "\n"
-        parts.append(template * len(chunk) % tuple(cells))
-    return "".join(parts)
+    return "".join([line + "\n" for line in head] + format_rows(rows, "%.9g", ",", "\n"))
 
 
 def budget_csv(report: BudgetReport) -> str:
@@ -107,9 +87,9 @@ def ledger_csv(rows: Sequence[DegradationRow], eta_effective: float | None = Non
     When a measured overall efficiency overrides the stage product, a
     trailing comment records both numbers.
     """
-    head = ["stage,efficiency,eta_cumulative,v_sq_cumulative,squeeze_db_cumulative"]
+    text = "stage,efficiency,eta_cumulative,v_sq_cumulative,squeeze_db_cumulative\n"
     # DegradationRow declares its fields in column order.
-    text = _csv(head, [tuple(vars(row).values()) for row in rows])
+    text += "".join("%s,%.9g,%.9g,%.9g,%.9g\n" % tuple(vars(row).values()) for row in rows)
     product = rows[-1].eta_cumulative if rows else 1.0
     if eta_effective is not None and eta_effective != product:
         text += (

@@ -22,8 +22,6 @@ _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 _WIDTH, _HEIGHT = 820, 520
 # Largest plottable value: the decade above it would not be a float.
 _MAX_VALUE = 1e308
-# Points formatted per step: bounds the memory held at once.
-_CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ def _points(px: np.ndarray, py: np.ndarray) -> str:
     import numpy as np
 
     pairs = np.column_stack((px, py))
-    return "".join(format_rows(pairs, "%.2f", ",", " ", _CHUNK_POINTS))[:-1]
+    return "".join(format_rows(pairs, "%.2f", ",", " "))[:-1]
 
 
 def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str, dash=None) -> str:

@@ -113,7 +113,11 @@ class TestImprovement:
         band = (a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0)
         with pytest.raises(DomainError) as info:
             improvement_db(off, off, band)
-        assert str(info.value) == f"band {band!r} contains no grid points"
+        assert str(info.value) == (
+            f"band_min_hz = {band[0]!r} violates bound: band up to band_max_hz = "
+            f"{band[1]!r} must hold at least one of the {len(GRID)} grid points"
+        )
+        assert info.value.keys == ("band_min_hz", "band_max_hz", "grid_points")
 
     def test_pure_shot_band_reproduces_the_squeezing_factor(self):
         # with the technical envelope off the improvement is flat and

@@ -42,6 +42,15 @@ def run_fresh(argv, cwd, script=FRESH_MAIN):
     )
 
 
+# A two-point linear grid (10 Hz and 10 kHz) has no point in the
+# default 1-5 kHz summary band.
+SPARSE_GRID = "grid_spacing = linear\ngrid_points = 2\n"
+EMPTY_BAND = (
+    "band_min_hz = 1000.0 violates bound: band up to band_max_hz = 5000.0 "
+    "must hold at least one of the 2 grid points"
+)
+
+
 class TestBudget:
     def test_default_run_writes_three_files(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -124,6 +133,14 @@ class TestBudget:
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_band_without_grid_points_exits_2_naming_the_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text(SPARSE_GRID, encoding="utf-8")
+        code = main(["budget", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {EMPTY_BAND}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["budget", "ledger"])
     def test_grid_too_wide_for_the_shot_asd_exits_2_without_warnings(self, command, tmp_path):
         # The shot ASD rises as f / sr_pole_hz and overflows far below f = 1e200.
@@ -176,6 +193,35 @@ class TestSweep:
         code = main(["sweep", "--axis", "eta", "--values", "0.5,1.3", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "[1]" in capsys.readouterr().err
+
+    def test_failing_budget_names_the_value_index(self, tmp_path):
+        # Value 0 is valid; value 1 reads out 300 dB of anti-squeezing,
+        # which build_report rejects after the RunConfig was accepted.
+        cfg = tmp_path / "anti.cfg"
+        cfg.write_text(
+            "anchor_asd = 1e150\nsr_pole_hz = 1\nanchor_freq_hz = 10\n"
+            "f_max_hz = 1e153\nsqueeze_db = 0\nantisqueeze_db = 0\n"
+            "injection_angle_rad = 1.5707963\neta_total = 1\n",
+            encoding="utf-8",
+        )
+        argv = ["sweep", "--config", str(cfg), "--axis", "injected_db", "--values", "0,300"]
+        proc = run_fresh(argv + ["--out", str(tmp_path / "o")], tmp_path)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == (
+            "error: sweep injected_db value [1]: antisqueeze_db = 300.0 violates bound: "
+            "must keep the squeezed quantum ASD finite up to f_max_hz "
+            "at this injection_angle_rad\n"
+        )
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_band_without_grid_points_names_the_value_index(self, tmp_path, capsys):
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text(SPARSE_GRID, encoding="utf-8")
+        argv = ["sweep", "--config", str(cfg), "--values", "0.5,0.6"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: sweep eta value [0]: {EMPTY_BAND}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_needs_values_or_solve(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "o")]) == EXIT_CONFIG

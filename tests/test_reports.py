@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqzbudget import IfoConfig, build_report, default_run_config, standard_suite, sweep
+from sqzbudget import _numfmt
 from sqzbudget import report as report_module
 from sqzbudget import svgplot
 from sqzbudget._numfmt import format_rows
 from sqzbudget.cli import EXIT_OK, main
 from sqzbudget.errors import DomainError
+from sqzbudget.losses import DegradationRow
 from sqzbudget.svgplot import Trace, _fmt, _LogAxis, _points, render_loglog
 from sqzbudget.report import (
     budget_csv,
@@ -78,34 +80,51 @@ def _csv_per_cell(head, rows):
     return "\n".join([*head, *body]) + "\n"
 
 
-_NUMBER = st.one_of(
-    st.floats(),  # nan, +-inf, -0.0, subnormal and huge values included
-    st.floats().map(np.float64),
-    st.integers(-(10**20), 10**20),
+_FLOAT = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.floats(),  # subnormal and huge values included
 )
-_CELL = {"str": st.text(max_size=6), "num": _NUMBER}
+_NUMBER = st.one_of(_FLOAT, _FLOAT.map(np.float64), st.integers(-(10**20), 10**20))
 
 
 @st.composite
 def _tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(_CELL)), min_size=1, max_size=5))
-    row = st.tuples(*(_CELL[kind] for kind in kinds))
+    row = st.tuples(*[_NUMBER] * draw(st.integers(1, 5)))
     return draw(st.lists(row, max_size=30))
 
 
-@given(rows=_tables(), chunk_rows=st.integers(1, 7), as_array=st.booleans())
+@given(rows=_tables(), chunk_cells=st.integers(1, 7), as_array=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_csv_matches_the_per_cell_writer(rows, chunk_rows, as_array):
+def test_csv_matches_the_per_cell_writer(rows, chunk_cells, as_array):
     head = ["# a table", "a,b"]
     expected = _csv_per_cell(head, rows)
-    if as_array and rows and not any(isinstance(v, str) for v in rows[0]):
+    if as_array and rows:
         rows = np.array([[float(v) for v in row] for row in rows])
-    saved = report_module._CSV_CHUNK_ROWS
-    report_module._CSV_CHUNK_ROWS = chunk_rows  # cross chunk boundaries on small tables
+    saved = _numfmt._CHUNK_CELLS
+    _numfmt._CHUNK_CELLS = chunk_cells  # cross chunk boundaries on small tables
     try:
         assert report_module._csv(head, rows) == expected
     finally:
-        report_module._CSV_CHUNK_ROWS = saved
+        _numfmt._CHUNK_CELLS = saved
+
+
+_LEDGER_HEAD = ["stage,efficiency,eta_cumulative,v_sq_cumulative,squeeze_db_cumulative"]
+_STAGE = st.one_of(st.text(max_size=8), st.text(alphabet=", ab", max_size=6))
+
+
+@given(st.lists(st.builds(DegradationRow, _STAGE, _FLOAT, _FLOAT, _FLOAT, _FLOAT), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_ledger_csv_matches_the_per_cell_writer(rows):
+    expected = _csv_per_cell(_LEDGER_HEAD, [tuple(vars(row).values()) for row in rows])
+    assert ledger_csv(rows) == expected
+
+
+def test_csv_without_rows_is_its_header():
+    assert sweep_csv("eta", ()) == (
+        "# sweep axis: eta\n"
+        "value,broadband_improvement_db,shot_limited_improvement_db,rate_gain\n"
+    )
+    assert report_module._csv(["# a table", "a,b,c"], np.empty((0, 3))) == "# a table\na,b,c\n"
 
 
 def _place_per_point(axis, value):
@@ -141,7 +160,7 @@ def test_polyline_points_match_the_per_point_writer(case):
 def _kernel(values, spec):
     """``values`` as a one-column table through the vectorised formatter."""
     table = np.array(values, dtype=float).reshape(-1, 1)
-    return "".join(format_rows(table, spec, ",", "\n", 4096))
+    return "".join(format_rows(table, spec, ",", "\n"))
 
 
 _POWERS = [float("1e%d" % k) for k in range(-300, 301)]
@@ -189,7 +208,7 @@ def test_f2_kernel_matches_percent_on_edge_cases():
 
 
 def test_csv_array_with_fallback_rows_on_a_chunk_boundary():
-    chunk = report_module._CSV_CHUNK_ROWS
+    chunk = _numfmt._CHUNK_CELLS // 3  # rows per chunk of a 3-column table
     rng = np.random.default_rng(8)
     table = rng.lognormal(0.0, 30.0, (chunk + 3, 3)) * rng.choice([-1.0, 1.0], (chunk + 3, 3))
     table[chunk - 1, 1] = math.nan  # last row of the first chunk
