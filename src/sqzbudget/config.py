@@ -122,9 +122,16 @@ class RunConfig:
 # frozen and its values read-only, so sharing it is safe.
 @lru_cache(maxsize=1)
 def _grid(spacing: str, f_min: float, f_max: float, points: int) -> FrequencyGrid:
-    if spacing == "linear":
-        return FrequencyGrid.linspace(f_min, f_max, points)
-    return FrequencyGrid.logspace(f_min, f_max, points)
+    import numpy as np
+
+    space = np.linspace if spacing == "linear" else np.geomspace
+    try:
+        return FrequencyGrid(space(f_min, f_max, points))
+    except DomainError as exc:
+        # A span narrower than its point count repeats a float.
+        rule = f"must fit between f_min_hz ({f_min!r}) and f_max_hz ({f_max!r}): {exc}"
+        message = f"grid_points = {points!r} violates bound: {rule}"
+        raise DomainError(message, "grid_points", "f_min_hz", "f_max_hz") from None
 
 
 def default_run_config() -> RunConfig:

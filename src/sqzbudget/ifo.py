@@ -151,7 +151,11 @@ class IfoConfig:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing, positive analysis frequencies in hertz."""
+    """Strictly increasing, positive analysis frequencies in hertz.
+
+    A run's grid comes from ``RunConfig.grid()``, which owns the span,
+    size and spacing; this class only checks the array it is given.
+    """
 
     values: np.ndarray
 
@@ -171,20 +175,6 @@ class FrequencyGrid:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def logspace(cls, f_min: float, f_max: float, points: int) -> "FrequencyGrid":
-        import numpy as np
-
-        _check_span(f_min, f_max, points)
-        return cls(np.geomspace(f_min, f_max, points))
-
-    @classmethod
-    def linspace(cls, f_min: float, f_max: float, points: int) -> "FrequencyGrid":
-        import numpy as np
-
-        _check_span(f_min, f_max, points)
-        return cls(np.linspace(f_min, f_max, points))
-
     def __len__(self) -> int:
         return int(self.values.size)
 
@@ -198,15 +188,6 @@ class FrequencyGrid:
         return np.array_equal(self.values, other.values)
 
     __hash__ = None  # type: ignore[assignment]
-
-
-def _check_span(f_min: float, f_max: float, points: int) -> None:
-    if not math.isfinite(f_min) or f_min <= 0.0:
-        raise DomainError(f"f_min must be positive and finite, got {f_min!r}")
-    if not math.isfinite(f_max) or f_max <= f_min:
-        raise DomainError(f"f_max must exceed f_min, got {f_max!r} <= {f_min!r}")
-    if points < 2:
-        raise DomainError(f"grid needs at least 2 points, got {points!r}")
 
 
 def _positive_freq(f):

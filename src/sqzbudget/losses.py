@@ -23,8 +23,16 @@ class LossElement:
     efficiency: float
 
     def __post_init__(self) -> None:
-        if not self.name or not self.name.strip():
+        name = self.name
+        if not name or not name.strip():
             raise ConfigError("loss element name must be non-empty")
+        # The config text splits on these and strips each name, and
+        # ledger.csv splits on ','; such a name would not survive either.
+        if name != name.strip() or name.splitlines() != [name] or any(c in name for c in ",:#"):
+            raise ConfigError(
+                f"loss element name {name!r} must not hold ',', ':', '#' or a line break, "
+                "nor start or end with whitespace"
+            )
         check_efficiency("efficiency", self.efficiency)
 
 

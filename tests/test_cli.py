@@ -50,6 +50,16 @@ EMPTY_BAND = (
     "must hold at least one of the 2 grid points"
 )
 
+# Passes RunConfig, but 100000 points cannot be told apart in a span of
+# 1e-12 Hz: the grid would repeat a float.
+NARROW_SPAN = (
+    "f_min_hz = 1.0\nf_max_hz = 1.000000000001\nanchor_freq_hz = 1.0\n"
+    "band_min_hz = 0.9\nband_max_hz = 1.0000000000005\ngrid_points = 100000\n"
+)
+NARROW_SPAN_ERROR = (
+    "grid_points = 100000 violates bound: must fit between f_min_hz (1.0) and "
+    "f_max_hz (1.000000000001): frequency grid must be strictly increasing"
+)
 
 class TestBudget:
     def test_default_run_writes_three_files(self, tmp_path, capsys):
@@ -141,6 +151,33 @@ class TestBudget:
         assert capsys.readouterr().err == f"error: {EMPTY_BAND}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [(["budget"], ""), (["sweep", "--values", "0.5,0.6"], "sweep eta value [0]: ")],
+        ids=["budget", "sweep"],
+    )
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    def test_span_too_narrow_for_its_points_exits_2_naming_the_keys(
+        self, argv, prefix, spacing, tmp_path
+    ):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(NARROW_SPAN + f"grid_spacing = {spacing}\n", encoding="utf-8")
+        proc = run_fresh(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")], tmp_path)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == f"error: {prefix}{NARROW_SPAN_ERROR}\n"
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_out_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n", encoding="utf-8")
+        assert main(["budget", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and str(out) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["taken"]
+        assert out.read_text(encoding="utf-8") == "keep\n"
+
     @pytest.mark.parametrize("command", ["budget", "ledger"])
     def test_grid_too_wide_for_the_shot_asd_exits_2_without_warnings(self, command, tmp_path):
         # The shot ASD rises as f / sr_pole_hz and overflows far below f = 1e200.
@@ -166,6 +203,14 @@ class TestLedger:
         for stage in ("sr_cavity", "output_mode_cleaner", "detection"):
             assert stage in text
         assert "eta_total = 0.62" in text  # override note against the 0.648 product
+
+
+    def test_accepts_a_span_too_narrow_for_a_grid(self, tmp_path, capsys):
+        # The ledger builds no grid, as it accepts a band with no grid point.
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(NARROW_SPAN, encoding="utf-8")
+        assert main(["ledger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert (tmp_path / "o" / "ledger.csv").exists()
 
 
 class TestSweep:
@@ -221,6 +266,14 @@ class TestSweep:
         argv = ["sweep", "--config", str(cfg), "--values", "0.5,0.6"]
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: sweep eta value [0]: {EMPTY_BAND}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_non_numeric_value_exits_2(self, tmp_path, capsys):
+        argv = ["sweep", "--values", "0.5,abc", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --values must be a comma list of numbers, got '0.5,abc'\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_needs_values_or_solve(self, tmp_path, capsys):

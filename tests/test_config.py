@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqzbudget import (
     ConfigError,
@@ -56,6 +58,31 @@ def test_round_trip_overridden():
     assert cfg.loss_stages == (LossElement("a", 0.95), LossElement("b", 0.72))
 
 
+def _accepted_name(name):
+    try:
+        LossElement(name, 1.0)
+    except ConfigError:
+        return False
+    return True
+
+
+EFFICIENCIES = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@given(
+    stages=st.lists(
+        st.builds(LossElement, st.text().filter(_accepted_name), EFFICIENCIES),
+        min_size=1,
+        max_size=4,
+    ),
+    eta=st.none() | EFFICIENCIES,
+)
+@settings(max_examples=300, deadline=None)
+def test_round_trip_any_accepted_stage_list(stages, eta):
+    run = RunConfig(loss_stages=tuple(stages), eta_total=eta)
+    assert parse_config(run.to_text()) == run
+
+
 def test_eta_override_reaches_the_budget():
     report = build_report(parse_config("eta_total = 0.62"))
     assert report.shot_limited_improvement_db == pytest.approx(3.55, abs=0.005)
@@ -80,9 +107,17 @@ class TestRejection:
         with pytest.raises(ConfigError, match=r"eta_total.*\(0, 1\]"):
             parse_config("eta_total = 1.3")
 
-    def test_malformed_number_has_line(self):
-        with pytest.raises(ConfigError, match="line 1"):
-            parse_config("power_bs = lots")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("power_bs = lots", "line 1: power_bs = 'lots' is not a number"),
+            ("grid_points = 1e3", "line 1: grid_points = '1e3' is not an integer"),
+        ],
+    )
+    def test_malformed_number_has_line(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="line 1"):

@@ -195,23 +195,15 @@ class TestFirstPrinciples:
 
 class TestFrequencyGrid:
     def test_logspace_default_span(self):
-        grid = FrequencyGrid.logspace(10.0, 10000.0, 1000)
+        grid = FrequencyGrid(np.geomspace(10.0, 10000.0, 1000))
         assert len(grid) == 1000
         assert grid.values[0] == pytest.approx(10.0, rel=1e-12)
         assert grid.values[-1] == pytest.approx(10000.0, rel=1e-12)
         assert np.all(np.diff(grid.values) > 0.0)
 
     def test_linspace(self):
-        grid = FrequencyGrid.linspace(10.0, 20.0, 11)
+        grid = FrequencyGrid(np.linspace(10.0, 20.0, 11))
         assert grid.values[1] - grid.values[0] == pytest.approx(1.0, rel=1e-12)
-
-    def test_rejects_bad_spans(self):
-        with pytest.raises(DomainError):
-            FrequencyGrid.logspace(0.0, 100.0, 10)
-        with pytest.raises(DomainError):
-            FrequencyGrid.logspace(100.0, 10.0, 10)
-        with pytest.raises(DomainError):
-            FrequencyGrid.logspace(10.0, 100.0, 1)
 
     def test_rejects_unsorted_values(self):
         with pytest.raises(DomainError):
@@ -219,16 +211,30 @@ class TestFrequencyGrid:
         with pytest.raises(DomainError):
             FrequencyGrid(np.array([-1.0, 5.0]))
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.ones((2, 2)), "frequency grid must be a non-empty 1-D array"),
+            (np.array([]), "frequency grid must be a non-empty 1-D array"),
+            (np.array([10.0, np.nan, 20.0]), "frequency grid must be finite"),
+        ],
+        ids=["2-D", "empty", "nan"],
+    )
+    def test_rejects_malformed_arrays(self, values, message):
+        with pytest.raises(DomainError) as info:
+            FrequencyGrid(values)
+        assert str(info.value) == message
+
     def test_distinct_grids_with_equal_values_compare_equal(self):
-        a = FrequencyGrid.logspace(10.0, 100.0, 5)
+        a = FrequencyGrid(np.geomspace(10.0, 100.0, 5))
         b = FrequencyGrid(a.values.copy())
         assert a.values is not b.values
         assert a == b
         assert not a != b
-        assert a != FrequencyGrid.logspace(10.0, 100.0, 6)
+        assert a != FrequencyGrid(np.geomspace(10.0, 100.0, 6))
 
     def test_values_are_read_only(self):
-        grid = FrequencyGrid.logspace(10.0, 100.0, 5)
+        grid = FrequencyGrid(np.geomspace(10.0, 100.0, 5))
         with pytest.raises(ValueError):
             grid.values[0] = 1.0
 

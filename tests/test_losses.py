@@ -46,6 +46,12 @@ def test_element_validation():
         LossElement("", 0.5)
 
 
+@pytest.mark.parametrize("name", ["a,b", "x#y", "c:d", " pad ", "pad\t", "a\nb", "a\u2028b"])
+def test_names_the_config_text_cannot_hold_are_rejected(name):
+    with pytest.raises(ConfigError, match="must not hold"):
+        LossElement(name, 0.5)
+
+
 @given(
     etas=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
     split_index=st.integers(0, 5),
