@@ -87,7 +87,7 @@ def total_noise(cfg: IfoConfig, grid: FrequencyGrid, sqz: float = 1.0) -> NoiseS
 def improvement_db(
     off: NoiseSpectrum,
     on: NoiseSpectrum,
-    band: tuple[float, float] = (1000.0, 5000.0),
+    band: tuple[float, float],
 ) -> tuple[np.ndarray, float]:
     """Per-frequency improvement in dB plus the band median.
 
@@ -150,7 +150,9 @@ def required_efficiency_for_improvement(target_db: float, level: SqueezeLevel) -
     if target_db > level.squeeze_db:
         raise DomainError(
             f"target of {target_db!r} dB exceeds the injected "
-            f"{level.squeeze_db!r} dB; unreachable at any efficiency"
+            f"{level.squeeze_db!r} dB; unreachable at any efficiency",
+            "target_db",
+            "squeeze_db",
         )
     return (1.0 - db_to_variance(target_db)) / (1.0 - v_in)
 

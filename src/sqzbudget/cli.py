@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
+# Library keys that hold a command-line flag's value.
+_FLAG_OF_KEY = {"n_samples": "--samples", "seed": "--seed", "target_db": "--solve-improvement-db"}
+
 
 def _use_color(stream) -> bool:
     if os.environ.get("NO_COLOR"):
@@ -59,16 +62,19 @@ def _error(message: str) -> None:
 def _write(out_dir: str, name: str, content: str) -> None:
     # Write beside the target, then rename over it: an interrupted run
     # leaves the previous file whole, and open() applies the usual umask.
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            reason = exc.strerror or exc
+            raise ConfigError(f"--out {out_dir}: cannot write {name}: {reason}") from None
         raise
     _diag(f"wrote {path}")
 
@@ -195,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="Monte-Carlo variance checks")
     p_oracle.add_argument("--out", default="out", help="output directory (default: out)")
-    p_oracle.add_argument("--seed", type=int, default=42, help="RNG seed (default: 42)")
+    p_oracle.add_argument("--seed", type=int, default=42, help="RNG seed (default: %(default)s)")
     p_oracle.add_argument(
         "--samples",
         type=int,
         default=1_000_000,
-        help="samples per check (default: 1000000)",
+        help="samples per check (default: %(default)s)",
     )
     p_oracle.set_defaults(func=_cmd_oracle)
 
@@ -218,8 +224,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except ConfigError as exc:
         _error(str(exc))
+        return EXIT_CONFIG
+    except DomainError as exc:
+        # Flag values checked in the library are reported under their flag.
+        flag = _FLAG_OF_KEY.get(exc.keys[0]) if exc.keys else None
+        _error(f"{flag}: {exc}" if flag else str(exc))
         return EXIT_CONFIG
     except OSError as exc:
         _error(str(exc))

@@ -151,7 +151,7 @@ def oracle_compare(name: str, analytic: float, run: SampleRun) -> OracleVerdict:
     )
 
 
-def standard_suite(seed: int = 42, n_samples: int = 1_000_000) -> tuple[OracleVerdict, ...]:
+def standard_suite(seed: int, n_samples: int) -> tuple[OracleVerdict, ...]:
     """The stock oracle checks the ``oracle`` subcommand runs.
 
     Three single-splitter variance checks, a two-splitter composition

@@ -208,32 +208,16 @@ def oracle_json(verdicts: Sequence[OracleVerdict]) -> str:
 
 def spectrum_svg(report: BudgetReport) -> str:
     """Log-log spectrum plot: squeezing off/on totals plus the parts."""
-    import numpy as np
-
     off, on = report.spectrum_off, report.spectrum_on
     f = off.grid.values
     traces = []
-    if np.all(off.tech > 0.0):  # a zero envelope cannot sit on log axes
+    if (off.tech > 0.0).all():  # a zero envelope cannot sit on log axes
         traces.append(
             Trace("technical envelope", "#909090", f, off.tech, width=1.0, dash="4 3")
         )
-    traces.extend(
-        [
-            Trace(
-                "shot noise (no squeezing)",
-                "#7aa6d6",
-                f,
-                off.quantum,
-                width=1.0,
-                dash="6 3",
-            ),
-            Trace("total, squeezing off", "#1f3b70", f, off.total),
-            Trace("total, squeezing on", "#b03030", f, on.total),
-        ]
-    )
-    return render_loglog(
-        traces,
-        title="Strain noise budget with and without squeezed light",
-        xlabel="frequency (Hz)",
-        ylabel="strain ASD (1/sqrt(Hz))",
-    )
+    traces += [
+        Trace("shot noise (no squeezing)", "#7aa6d6", f, off.quantum, width=1.0, dash="6 3"),
+        Trace("total, squeezing off", "#1f3b70", f, off.total),
+        Trace("total, squeezing on", "#b03030", f, on.total),
+    ]
+    return render_loglog(traces)

@@ -1,9 +1,10 @@
-"""Minimal log-log SVG chart writer.
+"""The strain spectrum figure, written as SVG.
 
-No plotting framework: a fixed layout rendered with deterministic
-number formatting, so the same data always produces the same bytes.
-Only what the spectrum plot needs: decade grids, a handful of
-polyline traces, a legend.
+No plotting framework: one fixed log-log layout rendered with
+deterministic number formatting, so the same data always produces the
+same bytes. It draws what ``report.spectrum_svg`` needs: a handful of
+polyline traces over one frequency axis, decade grids, fixed title and
+axis labels, and a legend.
 """
 
 from __future__ import annotations
@@ -22,10 +23,15 @@ _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 _WIDTH, _HEIGHT = 820, 520
 # Largest plottable value: the decade above it would not be a float.
 _MAX_VALUE = 1e308
+_TITLE = "Strain noise budget with and without squeezed light"
+_XLABEL = "frequency (Hz)"
+_YLABEL = "strain ASD (1/sqrt(Hz))"
 
 
 @dataclass(frozen=True)
 class Trace:
+    """One curve of the figure; ``x`` is the figure's frequency grid."""
+
     label: str
     color: str
     x: Sequence[float]
@@ -97,14 +103,12 @@ class _LogAxis:
         return ticks
 
 
-def render_loglog(
-    traces: Sequence[Trace],
-    *,
-    title: str,
-    xlabel: str,
-    ylabel: str,
-) -> str:
-    """Render traces on log-log axes; returns the SVG document text."""
+def render_loglog(traces: Sequence[Trace]) -> str:
+    """Draw the spectrum figure; returns the SVG document text.
+
+    The traces share one frequency axis, the first trace's ``x``, which
+    is placed once; every other trace must carry the same frequencies.
+    """
     import numpy as np
 
     if not traces:
@@ -113,19 +117,20 @@ def render_loglog(
     plot_w = _WIDTH - margin_l - margin_r
     plot_h = _HEIGHT - margin_t - margin_b
 
-    data = [(np.asarray(t.x, dtype=float), np.asarray(t.y, dtype=float)) for t in traces]
-    for trace, (x, y) in zip(traces, data):
-        if x.shape != y.shape:
+    f = np.asarray(traces[0].x, dtype=float)
+    for trace in traces:
+        if trace.x is not traces[0].x and not np.array_equal(trace.x, f):
+            raise DomainError(f"trace {trace.label!r} is not on the first trace's frequencies")
+        if np.shape(trace.y) != f.shape:
             raise DomainError(
-                f"trace {trace.label!r} has {x.size} x values but {y.size} y values"
+                f"trace {trace.label!r} has {np.size(trace.y)} y values for {f.size} frequencies"
             )
-    xs = np.concatenate([x for x, _ in data])
-    ys = np.concatenate([y for _, y in data])
-    if not all(np.all((a > 0.0) & (a <= _MAX_VALUE)) for a in (xs, ys)):
+    ys = np.array([trace.y for trace in traces], dtype=float)
+    if not all(((a > 0.0) & (a <= _MAX_VALUE)).all() for a in (f, ys)):
         raise DomainError(f"log-log traces need positive finite data up to {_MAX_VALUE!r}")
 
-    x_lo = 10.0 ** math.floor(math.log10(xs.min()) + 1e-12)
-    x_hi = 10.0 ** math.ceil(math.log10(xs.max()) - 1e-12)
+    x_lo = 10.0 ** math.floor(math.log10(f.min()) + 1e-12)
+    x_hi = 10.0 ** math.ceil(math.log10(f.max()) - 1e-12)
     y_lo = 10.0 ** math.floor(math.log10(ys.min()) + 1e-12)
     y_hi = 10.0 ** math.ceil(math.log10(ys.max()) - 1e-12)
 
@@ -140,7 +145,7 @@ def render_loglog(
     out.append('<rect x="0" y="0" width="%d" height="%d" fill="white"/>' % (_WIDTH, _HEIGHT))
     out.append(
         '<text x="%s" y="26" %s font-size="15" text-anchor="middle" fill="#202020">%s</text>'
-        % (_fmt(margin_l + plot_w / 2.0), _FONT, _escape(title))
+        % (_fmt(margin_l + plot_w / 2.0), _FONT, _TITLE)
     )
 
     # gridlines: faint minors, solid decade majors with labels
@@ -169,7 +174,7 @@ def render_loglog(
     )
     out.append(
         '<text x="%s" y="%s" %s font-size="13" text-anchor="middle" fill="#202020">%s</text>'
-        % (_fmt(margin_l + plot_w / 2.0), _fmt(_HEIGHT - 14.0), _FONT, _escape(xlabel))
+        % (_fmt(margin_l + plot_w / 2.0), _fmt(_HEIGHT - 14.0), _FONT, _XLABEL)
     )
     out.append(
         '<text x="20" y="%s" %s font-size="13" text-anchor="middle" '
@@ -178,15 +183,12 @@ def render_loglog(
             _fmt(margin_t + plot_h / 2.0),
             _FONT,
             _fmt(margin_t + plot_h / 2.0),
-            _escape(ylabel),
+            _YLABEL,
         )
     )
 
-    placed_x = {}  # id(x) -> pixels: traces that share a grid place it once
-    for trace, (x, y) in zip(traces, data):
-        px = placed_x.get(id(x))
-        if px is None:
-            px = placed_x[id(x)] = ax_x.place(x.tolist())
+    px = ax_x.place(f.tolist())
+    for trace, y in zip(traces, ys):
         points = _points(px, ax_y.place(y.tolist()))
         dash = ' stroke-dasharray="%s"' % trace.dash if trace.dash else ""
         out.append(
@@ -218,17 +220,9 @@ def render_loglog(
         )
         out.append(
             '<text x="%s" y="%s" %s font-size="12" fill="#202020">%s</text>'
-            % (_fmt(legend_x + 50.0), _fmt(row_y), _FONT, _escape(trace.label))
+            % (_fmt(legend_x + 50.0), _fmt(row_y), _FONT, trace.label)
         )
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )

@@ -30,6 +30,8 @@ from sqzbudget import (
 )
 
 GRID = FrequencyGrid(np.geomspace(10.0, 10000.0, 400))
+# The summary band of the default run.
+BAND = (default_run_config().band_min_hz, default_run_config().band_max_hz)
 
 
 def test_unsqueezed_total_hits_anchor():
@@ -94,7 +96,7 @@ def test_noise_spectrum_rejects(quantum, tech, message):
 class TestImprovement:
     def test_identical_spectra_give_zero_everywhere(self):
         off = total_noise(GEO600, GRID, 1.0)
-        per_bin, band = improvement_db(off, off)
+        per_bin, band = improvement_db(off, off, BAND)
         assert np.all(per_bin == 0.0)
         assert band == 0.0
 
@@ -104,7 +106,7 @@ class TestImprovement:
         for values in (np.geomspace(10.0, 10000.0, 401), GRID.values * 1.001):
             other = total_noise(GEO600, FrequencyGrid(values), 0.7)
             with pytest.raises(DomainError) as info:
-                improvement_db(off, other)
+                improvement_db(off, other, BAND)
             assert str(info.value) == "spectra are on different frequency grids"
 
     def test_band_between_two_grid_points_rejected(self):
@@ -126,7 +128,7 @@ class TestImprovement:
         sqz = math.sqrt(0.442)
         off = total_noise(cfg, GRID, 1.0)
         on = total_noise(cfg, GRID, sqz)
-        per_bin, band = improvement_db(off, on)
+        per_bin, band = improvement_db(off, on, BAND)
         expected = shot_limited_improvement_db(sqz)
         assert band == pytest.approx(expected, rel=1e-12)
         assert np.max(np.abs(per_bin - expected)) <= 1e-9
@@ -147,10 +149,10 @@ class TestImprovement:
         )
         sqz = math.sqrt(0.442)
         base, base_band = improvement_db(
-            total_noise(GEO600, GRID, 1.0), total_noise(GEO600, GRID, sqz)
+            total_noise(GEO600, GRID, 1.0), total_noise(GEO600, GRID, sqz), BAND
         )
         scaled, scaled_band = improvement_db(
-            total_noise(scaled_cfg, GRID, 1.0), total_noise(scaled_cfg, GRID, sqz)
+            total_noise(scaled_cfg, GRID, 1.0), total_noise(scaled_cfg, GRID, sqz), BAND
         )
         assert np.max(np.abs(scaled - base)) <= 1e-12
         assert scaled_band == pytest.approx(base_band, abs=1e-12)

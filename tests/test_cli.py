@@ -10,6 +10,7 @@ import pytest
 
 from sqzbudget import cli, parse_config
 from sqzbudget.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, main
+from sqzbudget.errors import ConfigError
 
 
 def read(path):
@@ -173,10 +174,29 @@ class TestBudget:
         out.write_text("keep\n", encoding="utf-8")
         assert main(["budget", "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "File exists" in err and str(out) in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == f"error: --out {out}: cannot write budget.csv: File exists\n"
         assert os.listdir(tmp_path) == ["taken"]
         assert out.read_text(encoding="utf-8") == "keep\n"
+
+    def test_out_path_below_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("keep\n", encoding="utf-8")
+        out = tmp_path / "taken" / "x"
+        assert main(["budget", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: cannot write budget.csv: Not a directory\n"
+        assert os.listdir(tmp_path) == ["taken"]
+
+    def test_unwritable_out_dir_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Under root, chmod cannot deny a write, so open() is made to.
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        out = tmp_path / "o"
+        assert main(["budget", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: cannot write budget.csv: Permission denied\n"
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("command", ["budget", "ledger"])
     def test_grid_too_wide_for_the_shot_asd_exits_2_without_warnings(self, command, tmp_path):
@@ -279,6 +299,19 @@ class TestSweep:
     def test_needs_values_or_solve(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("nan", "target_db = nan violates bound: must be > 0 and finite"),
+            ("20", "target of 20.0 dB exceeds the injected 10.0 dB; unreachable at any efficiency"),
+        ],
+    )
+    def test_bad_solve_target_names_the_flag(self, target, message, tmp_path, capsys):
+        argv = ["sweep", "--solve-improvement-db", target, "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --solve-improvement-db: {message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestOracle:
     def test_passes_at_default_seed(self, tmp_path, capsys):
@@ -308,15 +341,14 @@ class TestOracle:
         [
             ("--seed", "-1", "seed = -1 violates bound: must be >= 0"),
             ("--samples", "10000001", "n_samples = 10000001 violates bound: must be <= 10000000"),
+            ("--samples", "5000", "n_samples = 5000 violates bound: oracle verdicts need >= 10000"),
         ],
     )
     def test_out_of_range_argument_exits_2(self, flag, value, message, tmp_path, capsys):
-        # Both are rejected before the generator or any sample array exists.
+        # All are rejected before the generator or any sample array exists.
         code = main(["oracle", "--out", str(tmp_path / "o"), flag, value])
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert message in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -332,7 +364,7 @@ class TestWrite:
                 raise OSError("disk full")
 
             monkeypatch.setattr(cli.os, "replace", broken_replace)
-        with pytest.raises((UnicodeEncodeError, OSError)):
+        with pytest.raises(UnicodeEncodeError if failure == "encode" else ConfigError):
             cli._write(str(tmp_path), "budget.csv", content)
         assert read(tmp_path / "budget.csv") == b"previous\n"
         assert os.listdir(tmp_path) == ["budget.csv"]
@@ -391,6 +423,23 @@ class TestNumpyFreeStart:
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "budget" in capsys.readouterr().out
+
+
+ORACLE_HELP = """\
+usage: sqzbudget oracle [-h] [--out OUT] [--seed SEED] [--samples SAMPLES]
+
+options:
+  -h, --help         show this help message and exit
+  --out OUT          output directory (default: out)
+  --seed SEED        RNG seed (default: 42)
+  --samples SAMPLES  samples per check (default: 1000000)
+"""
+
+
+def test_oracle_help_prints_the_defaults(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["oracle", "--help"]) == 0
+    assert capsys.readouterr().out == ORACLE_HELP
 
 
 def test_unknown_command_exits_2(capsys):

@@ -225,13 +225,12 @@ def test_traces_sharing_an_x_array_render_like_distinct_copies(monkeypatch):
     calls = []
     place = svgplot._LogAxis.place
     monkeypatch.setattr(svgplot._LogAxis, "place", lambda self, v: calls.append(1) or place(self, v))
-    labels = dict(title="t", xlabel="x", ylabel="y")
-    shared = render_loglog([Trace(str(k), "#000", f, y) for k, y in enumerate(ys)], **labels)
+    shared = render_loglog([Trace(str(k), "#000", f, y) for k, y in enumerate(ys)])
     placed_shared = len(calls)
     copies = [Trace(str(k), "#000", f.copy(), y) for k, y in enumerate(ys)]
-    assert shared == render_loglog(copies, **labels)
-    # The shared grid is placed once instead of once per trace.
-    assert len(calls) - placed_shared == placed_shared + 3
+    assert shared == render_loglog(copies)
+    # The one frequency grid is placed once however the traces hold it.
+    assert len(calls) - placed_shared == placed_shared
 
 
 def test_zero_technical_column_matches_the_per_cell_writer():
@@ -365,28 +364,27 @@ class TestSvg:
         assert svg.count("<polyline") == 3
 
     def test_render_rejects_empty_and_nonpositive(self):
+        with pytest.raises(DomainError, match="nothing to plot"):
+            render_loglog([])
         with pytest.raises(DomainError):
-            render_loglog([], title="t", xlabel="x", ylabel="y")
-        with pytest.raises(DomainError):
-            render_loglog(
-                [Trace("a", "#000", [1.0, 2.0], [0.0, 1.0])],
-                title="t",
-                xlabel="x",
-                ylabel="y",
-            )
+            render_loglog([Trace("a", "#000", [1.0, 2.0], [0.0, 1.0])])
         # The decade above 1.5e308 is not a float, so no axis can hold it.
         with pytest.raises(DomainError, match="up to 1e"):
-            render_loglog(
-                [Trace("a", "#000", [1.0, 1.5e308], [1.0, 2.0])],
-                title="t",
-                xlabel="x",
-                ylabel="y",
-            )
+            render_loglog([Trace("a", "#000", [1.0, 1.5e308], [1.0, 2.0])])
 
     def test_render_rejects_traces_of_unequal_length(self):
+        f = [1.0, 2.0, 3.0]
         traces = [
-            Trace("ok", "#000", [1.0, 2.0], [1.0, 2.0]),
-            Trace("short y", "#000", [1.0, 2.0, 3.0], [1.0, 2.0]),
+            Trace("ok", "#000", f, [1.0, 2.0, 3.0]),
+            Trace("short y", "#000", f, [1.0, 2.0]),
         ]
-        with pytest.raises(DomainError, match="'short y' has 3 x values but 2 y values"):
-            render_loglog(traces, title="t", xlabel="x", ylabel="y")
+        with pytest.raises(DomainError, match="'short y' has 2 y values for 3 frequencies"):
+            render_loglog(traces)
+
+    def test_render_rejects_a_trace_on_other_frequencies(self):
+        traces = [
+            Trace("ok", "#000", [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+            Trace("moved", "#000", [1.0, 2.0, 4.0], [1.0, 2.0, 3.0]),
+        ]
+        with pytest.raises(DomainError, match="'moved' is not on the first trace's frequencies"):
+            render_loglog(traces)
