@@ -109,7 +109,22 @@ def improvement_db(
     start, stop = f.searchsorted(lo, "left"), f.searchsorted(hi, "right")
     rule = f"band up to band_max_hz = {hi!r} must hold at least one of the {len(f)} grid points"
     require(start < stop, "band_min_hz", lo, rule, "band_max_hz", "grid_points")
-    return per_bin, float(np.median(per_bin[start:stop]))
+    return per_bin, _median(per_bin[start:stop])
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty finite array, by one partition.
+
+    ``np.median`` also checks for NaN, and that check loads ``numpy.ma``
+    on its first call in a process. The band bins are finite, as both
+    totals are. An even count takes np.median's mean of the middle two.
+    """
+    import numpy as np
+
+    n = len(values)
+    k = n // 2
+    middle = np.partition(values, ((n - 1) // 2, k))
+    return float(middle[k] if n % 2 else (middle[k - 1] + middle[k]) / 2.0)
 
 
 def shot_limited_improvement_db(sqz: float) -> float:

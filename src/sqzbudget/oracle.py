@@ -4,9 +4,9 @@ Draws homodyne samples of a squeezed quadrature propagated through loss
 (and optional phase jitter) and compares the sample variance against the
 closed-form prediction. Sampling uses numpy's default PCG64 generator
 seeded explicitly, so a given (inputs, seed) pair is bit-reproducible.
-If sampling were ever sharded across workers, substreams would have to
-come from ``SeedSequence.spawn`` on the same seed; the implementation
-here is a single stream.
+``standard_suite`` runs its checks on two threads, but each check draws
+from its own ``default_rng(seed + k)`` stream and owns its buffers, so
+which thread runs a check, and when, cannot change a bit.
 
 Loss is realized as a beam splitter: transmit the field amplitude with
 sqrt(eta) and fill the open port with vacuum.
@@ -15,7 +15,10 @@ sqrt(eta) and fill the open port with vacuum.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import check_efficiency, require
 from .quadrature import QuadratureState, apply_loss, dephase, readout_variance
@@ -114,18 +117,47 @@ def _sample(
         v_anti = max(v_sq, 1.0 / v_sq)
     require(v_sq <= v_anti < math.inf, "v_anti", v_anti, f"must be finite and >= v_sq ({v_sq!r})")
 
+    # Two n-sample buffers at any stage count, both allocated here before
+    # any draw, and no other n-sample array: ``mixed`` and one ``draw``
+    # that takes every later normal draw. With arrays also allocated
+    # mid-run (the cos result, np.var's temporary), the two-thread suite's
+    # peak RSS differed between runs by up to one array, as which freed
+    # block the allocator reused hung on the other thread's timing. Each
+    # in-place step is the ufunc of the expression form (theta = sigma * z;
+    # v_sq * cos(theta) ** 2 + v_anti * sin(theta) ** 2; sqrt(projected) *
+    # z; keep * mixed + leak * z), in the same order, so the bits are the
+    # expression's.
     rng = np.random.default_rng(seed)
+    mixed = np.empty(n_samples)
+    draw = np.empty(n_samples)
     if sigma_jitter > 0.0:
-        theta = sigma_jitter * rng.standard_normal(n_samples)
-        projected = v_sq * np.cos(theta) ** 2 + v_anti * np.sin(theta) ** 2
+        rng.standard_normal(out=draw)
+        draw *= sigma_jitter
+        np.cos(draw, out=mixed)
+        np.square(mixed, out=mixed)
+        mixed *= v_sq
+        np.sin(draw, out=draw)
+        np.square(draw, out=draw)
+        draw *= v_anti
+        mixed += draw
+        np.sqrt(mixed, out=mixed)
+        rng.standard_normal(out=draw)
+        mixed *= draw
     else:
-        projected = v_sq
-    mixed = np.sqrt(projected) * rng.standard_normal(n_samples)
+        rng.standard_normal(out=mixed)
+        mixed *= math.sqrt(v_sq)
     for efficiency in efficiencies:
-        # The vacuum draw stays unnamed so numpy reuses its buffer in place.
         keep, leak = math.sqrt(efficiency), math.sqrt(1.0 - efficiency)
-        mixed = keep * mixed + leak * rng.standard_normal(n_samples)
-    estimate = float(np.var(mixed, ddof=1))
+        mixed *= keep
+        rng.standard_normal(out=draw)
+        draw *= leak
+        mixed += draw
+    # np.var(mixed, ddof=1) in place: its reductions and ufuncs, in order.
+    mean = np.add.reduce(mixed, axis=None, keepdims=True)
+    mean /= n_samples
+    mixed -= mean
+    np.square(mixed, out=mixed)
+    estimate = float(np.add.reduce(mixed, axis=None) / (n_samples - 1))
     return SampleRun(
         n_samples=n_samples,
         seed=seed,
@@ -158,6 +190,9 @@ def standard_suite(seed: int, n_samples: int) -> tuple[OracleVerdict, ...]:
     check, and a phase-jitter check against the Gaussian-average closed
     form. Seeds for the individual runs are derived from ``seed`` by
     fixed offsets, so the whole suite is reproducible from one number.
+    The samplers run on up to two threads; the verdicts are judged here,
+    in the order above, and the first check whose sampler raised is the
+    one reported.
     """
     require(n_samples >= 10_000, "n_samples", n_samples, "oracle verdicts need >= 10000")
 
@@ -165,27 +200,74 @@ def standard_suite(seed: int, n_samples: int) -> tuple[OracleVerdict, ...]:
         # The package's own algebra, on the minimum-uncertainty state of v.
         return readout_variance(apply_loss(QuadratureState(v, max(v, 1.0 / v)), eta))
 
-    checks = []
-
     trio = (
         ("squeezed_10db_eta_0.62", 0.1, 0.62),
         ("vacuum_eta_0.50", 1.0, 0.5),
         ("squeezed_9db_eta_0.833", 0.126, 0.833),
     )
-    for i, (name, v, eta) in enumerate(trio):
-        run = sample_lossy_squeezed(v, eta, n_samples=n_samples, seed=seed + i)
-        checks.append(oracle_compare(name, loss_variance(v, eta), run))
-
-    run = sample_two_stage(0.1, 0.9, 0.8, n_samples=n_samples, seed=seed + 3)
-    checks.append(oracle_compare("two_stage_0.9x0.8", loss_variance(0.1, 0.72), run))
-
-    state = QuadratureState(0.1, 10.0)
+    n = n_samples
     sigma = 0.05
     eta = 0.62
-    analytic = readout_variance(dephase(apply_loss(state, eta), sigma))
-    run = sample_lossy_squeezed(
-        0.1, eta, n_samples=n_samples, seed=seed + 4, v_anti=10.0, sigma_jitter=sigma
-    )
-    checks.append(oracle_compare("jitter_sigma_0.05_eta_0.62", analytic, run))
+    # (name, analytic variance, sampler call), in report order.
+    checks = [
+        (name, loss_variance(v, e), partial(sample_lossy_squeezed, v, e, n_samples=n, seed=seed + i))
+        for i, (name, v, e) in enumerate(trio)
+    ]
+    checks.append((
+        "two_stage_0.9x0.8",
+        loss_variance(0.1, 0.72),
+        partial(sample_two_stage, 0.1, 0.9, 0.8, n_samples=n, seed=seed + 3),
+    ))
+    checks.append((
+        "jitter_sigma_0.05_eta_0.62",
+        readout_variance(dephase(apply_loss(QuadratureState(0.1, 10.0), eta), sigma)),
+        partial(
+            sample_lossy_squeezed, 0.1, eta, n_samples=n, seed=seed + 4, v_anti=10.0, sigma_jitter=sigma
+        ),
+    ))
 
-    return tuple(checks)
+    # Heaviest first, so that a light check is the last to start: jitter
+    # draws three arrays and takes cos and sin, two-stage draws three, the
+    # trio two each.
+    runs = _call_all([sample for _, _, sample in checks], (4, 3, 0, 1, 2))
+    verdicts = []
+    for (name, analytic, _), run in zip(checks, runs):
+        if isinstance(run, Exception):
+            raise run
+        verdicts.append(oracle_compare(name, analytic, run))
+    return tuple(verdicts)
+
+
+def _call_all(calls, order) -> list:
+    """Make every call in ``calls``, on up to two threads.
+
+    The calling thread and at most one worker take the next index from
+    ``order`` until none is left. Returns, in the order of ``calls``,
+    each call's result or the exception it raised. The cap of two holds
+    memory at two samplers' buffers at once; numpy leaves the GIL while
+    it fills normals and runs ufuncs, so the two overlap.
+    """
+    results: list = [None] * len(calls)
+    pending = list(order)
+
+    def work() -> None:
+        while True:
+            try:
+                i = pending.pop(0)  # one atomic list operation
+            except IndexError:
+                return
+            try:
+                results[i] = calls[i]()
+            except Exception as exc:  # raised by the caller, in call order
+                results[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(2, os.cpu_count() or 1) - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        pending.clear()  # on an interrupt, a worker stops after its call
+        for worker in workers:
+            worker.join()
+    return results

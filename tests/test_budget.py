@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqzbudget import config
+from sqzbudget import budget, config
 from sqzbudget import (
     GEO600,
     ConfigError,
@@ -224,6 +224,28 @@ def test_band_median_equals_the_masked_median_bit_for_bit(case, sqz):
         with pytest.raises(DomainError):
             improvement_db(off, on, (lo, hi))
 
+
+
+# Few distinct values, so that duplicates, +0.0 and -0.0 turn up often.
+# Bounded so that the sum of the middle two cannot overflow.
+_MEDIAN_INPUTS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.5]), st.floats(-1e300, 1e300)),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(values=_MEDIAN_INPUTS)
+@settings(max_examples=500, deadline=None)
+def test_partition_median_equals_np_median(values):
+    array = np.array(values)
+    assert budget._median(array) == float(np.median(array))
+
+
+def test_partition_median_takes_the_mean_of_the_middle_two():
+    assert budget._median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.5
+    assert budget._median(np.array([-0.0, 0.0])) == 0.0
+    assert budget._median(np.array([7.0])) == 7.0
 
 class TestGridMemo:
     """Runs with equal grid fields share one validated FrequencyGrid."""

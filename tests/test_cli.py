@@ -419,6 +419,29 @@ class TestNumpyFreeStart:
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.endswith(f"\nnumpy loaded: {loaded}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["budget", "--out", "out"],
+            ["sweep", "--values", "0.5,0.6", "--out", "out"],
+            ["oracle", "--samples", "10000", "--out", "out"],
+        ],
+    )
+    def test_no_masked_arrays_or_executors(self, argv, tmp_path):
+        # The band median is taken without np.median, whose NaN check
+        # loads numpy.ma; the oracle's threads need no executor.
+        script = (
+            "import sys\n"
+            "from sqzbudget.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "unwanted = ('numpy.ma', 'concurrent.futures')\n"
+            "print('\\nloaded:', [m for m in unwanted if m in sys.modules])\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_fresh(argv, tmp_path, script)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.endswith("\nloaded: []\n")
+
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
