@@ -131,6 +131,8 @@ def _cmd_sweep(args) -> int:
         rows = sweep(run, args.axis, values)
     elif extra is None:
         raise ConfigError("sweep needs --values, --solve-improvement-db, or both")
+    elif args.format == "csv":
+        raise ConfigError("--format csv needs --values: a solve-only sweep has no rows for sweep.csv")
     text = sweep_csv(args.axis, rows) if rows else sweep_json(args.axis, rows, extra)
     if rows and args.format in ("csv", "all"):
         _write(args.out, "sweep.csv", text)

@@ -29,6 +29,9 @@ Z_MAX = 3.0
 # Largest sample count per run; rejected before any array is allocated.
 _MAX_SAMPLES = 10_000_000
 
+# Samples per block in the sampler's blocked stages (512 KB of float64).
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SampleRun:
@@ -117,41 +120,51 @@ def _sample(
         v_anti = max(v_sq, 1.0 / v_sq)
     require(v_sq <= v_anti < math.inf, "v_anti", v_anti, f"must be finite and >= v_sq ({v_sq!r})")
 
-    # Two n-sample buffers at any stage count, both allocated here before
-    # any draw, and no other n-sample array: ``mixed`` and one ``draw``
-    # that takes every later normal draw. With arrays also allocated
-    # mid-run (the cos result, np.var's temporary), the two-thread suite's
-    # peak RSS differed between runs by up to one array, as which freed
-    # block the allocator reused hung on the other thread's timing. Each
-    # in-place step is the ufunc of the expression form (theta = sigma * z;
-    # v_sq * cos(theta) ** 2 + v_anti * sin(theta) ** 2; sqrt(projected) *
-    # z; keep * mixed + leak * z), in the same order, so the bits are the
-    # expression's.
+    # One n-sample buffer, ``mixed``, and one ``block`` of at most _BLOCK
+    # samples that takes every later normal draw, both allocated here
+    # before any draw, and no other array: with an array allocated mid-run,
+    # the two-thread suite's peak RSS differed between runs by up to one
+    # array, as which freed block the allocator reused hung on the other
+    # thread's timing. Every stage but an unjittered field draw runs block
+    # by block over ``mixed``; consecutive fills of ``block`` take the same
+    # normals as one n-sample fill and leave the stream in the same state.
+    # The variance reduces the whole array, as blocking would change its
+    # pairwise sums. Each in-place step is the ufunc of the expression form
+    # (theta = sigma * z; v_sq * cos(theta) ** 2 + v_anti * sin(theta) ** 2;
+    # sqrt(projected) * z; keep * mixed + leak * z), in the same order, so
+    # the bits are the expression's.
     rng = np.random.default_rng(seed)
     mixed = np.empty(n_samples)
-    draw = np.empty(n_samples)
+    block = np.empty(min(n_samples, _BLOCK))
+    parts = [
+        (mixed[lo : lo + _BLOCK], block[: min(_BLOCK, n_samples - lo)])
+        for lo in range(0, n_samples, _BLOCK)
+    ]
     if sigma_jitter > 0.0:
-        rng.standard_normal(out=draw)
-        draw *= sigma_jitter
-        np.cos(draw, out=mixed)
-        np.square(mixed, out=mixed)
-        mixed *= v_sq
-        np.sin(draw, out=draw)
-        np.square(draw, out=draw)
-        draw *= v_anti
-        mixed += draw
-        np.sqrt(mixed, out=mixed)
-        rng.standard_normal(out=draw)
-        mixed *= draw
+        for out, theta in parts:
+            rng.standard_normal(out=theta)
+            theta *= sigma_jitter
+            np.cos(theta, out=out)
+            np.square(out, out=out)
+            out *= v_sq
+            np.sin(theta, out=theta)
+            np.square(theta, out=theta)
+            theta *= v_anti
+            out += theta
+            np.sqrt(out, out=out)
+        for out, z in parts:
+            rng.standard_normal(out=z)
+            out *= z
     else:
         rng.standard_normal(out=mixed)
         mixed *= math.sqrt(v_sq)
     for efficiency in efficiencies:
         keep, leak = math.sqrt(efficiency), math.sqrt(1.0 - efficiency)
-        mixed *= keep
-        rng.standard_normal(out=draw)
-        draw *= leak
-        mixed += draw
+        for out, z in parts:
+            out *= keep
+            rng.standard_normal(out=z)
+            z *= leak
+            out += z
     # np.var(mixed, ddof=1) in place: its reductions and ufuncs, in order.
     mean = np.add.reduce(mixed, axis=None, keepdims=True)
     mean /= n_samples
@@ -244,8 +257,9 @@ def _call_all(calls, order) -> list:
     The calling thread and at most one worker take the next index from
     ``order`` until none is left. Returns, in the order of ``calls``,
     each call's result or the exception it raised. The cap of two holds
-    memory at two samplers' buffers at once; numpy leaves the GIL while
-    it fills normals and runs ufuncs, so the two overlap.
+    memory at two samplers' buffers at once, each one n-sample array and
+    one block; numpy leaves the GIL while it fills normals and runs
+    ufuncs, so the two overlap.
     """
     results: list = [None] * len(calls)
     pending = list(order)

@@ -299,6 +299,18 @@ class TestSweep:
     def test_needs_values_or_solve(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_solve_only_csv_exits_2_and_names_both_flags(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        argv = ["sweep", "--solve-improvement-db", "6", "--format", "csv", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --format csv needs --values: a solve-only sweep has no rows for sweep.csv\n"
+        )
+        assert captured.out == ""
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize(
         "target, message",
         [
@@ -331,6 +343,28 @@ class TestOracle:
         captured = capsys.readouterr()
         assert "failed" in captured.err
         assert json.loads(captured.out)["all_passed"] is False
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+    def test_peak_memory_grows_by_under_two_and_a_half_sample_arrays(self, tmp_path):
+        # Two checks run at once, each holding one n-sample array and one
+        # block, so 1e6 samples should cost about two 8 MB arrays more
+        # than 1e4 samples, whose arrays fit in one block.
+        def peak_rss_bytes(samples):
+            argv = ["oracle", "--samples", str(samples), "--out", str(tmp_path / "o")]
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "sqzbudget.cli", *argv],
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                stdout=subprocess.DEVNULL,
+            )
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+            assert proc.returncode == EXIT_OK
+            return usage.ru_maxrss * 1024
+
+        array = 1_000_000 * 8
+        growth = peak_rss_bytes(1_000_000) - peak_rss_bytes(10_000)
+        assert growth < 2.5 * array
 
     def test_undersized_run_is_a_config_error(self, tmp_path):
         code = main(["oracle", "--out", str(tmp_path / "o"), "--samples", "100"])

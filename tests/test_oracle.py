@@ -4,10 +4,11 @@ import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqzbudget import oracle
@@ -158,20 +159,31 @@ def expression_sample(v_sq, efficiencies, n_samples, seed, v_anti=None, sigma_ji
     sigma=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
     seed=st.integers(0, 2**63),
     n=st.integers(2, 5000),
+    block=st.integers(1, 64),
 )
+# n one below, at and one above a block edge, with jitter and two stages.
+@example(v_sq=0.1, anti_factor=100.0, efficiencies=[0.62], sigma=0.3, seed=1, n=15, block=16)
+@example(v_sq=0.1, anti_factor=100.0, efficiencies=[0.62], sigma=0.3, seed=1, n=16, block=16)
+@example(v_sq=0.1, anti_factor=100.0, efficiencies=[0.62], sigma=0.3, seed=1, n=17, block=16)
+@example(v_sq=0.1, anti_factor=None, efficiencies=[0.9, 0.8], sigma=0.0, seed=2, n=15, block=16)
+@example(v_sq=0.1, anti_factor=None, efficiencies=[0.9, 0.8], sigma=0.0, seed=2, n=16, block=16)
+@example(v_sq=0.1, anti_factor=None, efficiencies=[0.9, 0.8], sigma=0.0, seed=2, n=17, block=16)
 @settings(max_examples=200, deadline=None)
 def test_in_place_sampler_is_bit_identical_to_expressions(
-    v_sq, anti_factor, efficiencies, sigma, seed, n
+    v_sq, anti_factor, efficiencies, sigma, seed, n, block
 ):
+    # A small block makes n cross many block edges; the reference draws
+    # whole arrays.
     v_anti = None if anti_factor is None else v_sq * anti_factor
-    if len(efficiencies) == 2:
-        run = sample_two_stage(v_sq, *efficiencies, n_samples=n, seed=seed)
-        want = expression_sample(v_sq, efficiencies, n, seed)
-    else:
-        run = sample_lossy_squeezed(
-            v_sq, efficiencies[0], n_samples=n, seed=seed, v_anti=v_anti, sigma_jitter=sigma
-        )
-        want = expression_sample(v_sq, efficiencies, n, seed, v_anti, sigma)
+    with mock.patch.object(oracle, "_BLOCK", block):
+        if len(efficiencies) == 2:
+            run = sample_two_stage(v_sq, *efficiencies, n_samples=n, seed=seed)
+            want = expression_sample(v_sq, efficiencies, n, seed)
+        else:
+            run = sample_lossy_squeezed(
+                v_sq, efficiencies[0], n_samples=n, seed=seed, v_anti=v_anti, sigma_jitter=sigma
+            )
+            want = expression_sample(v_sq, efficiencies, n, seed, v_anti, sigma)
     assert (run.estimated_variance, run.standard_error) == want
 
 
@@ -183,10 +195,10 @@ def test_in_place_sampler_is_bit_identical_to_expressions(
     ],
     ids=["jitter", "two_stage"],
 )
-def test_sampler_holds_two_sample_arrays(sample):
-    # The suite runs two samplers at once, so a third n-sample array in
+def test_sampler_holds_one_sample_array_and_a_block(sample):
+    # The suite runs two samplers at once, so a second n-sample array in
     # one of them would raise its peak memory by up to two arrays.
-    n, array = 200_000, 200_000 * 8
+    n, array, block = 200_000, 200_000 * 8, oracle._BLOCK * 8
     sample(1_000)  # the first call pays one-off lazy set-up
     tracemalloc.start()
     try:
@@ -194,7 +206,7 @@ def test_sampler_holds_two_sample_arrays(sample):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 2 * array <= peak < 2 * array + array // 4
+    assert array + block <= peak < array + block + array // 4
 
 
 def serial_runs(seed, n):
