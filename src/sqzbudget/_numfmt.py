@@ -4,7 +4,9 @@
 
     "".join(sep.join([spec] * cols) % tuple(row) + end for row in table)
 
-byte for byte, for ``spec`` ``"%.9g"`` or ``"%.2f"``. It computes every
+byte for byte, for ``spec`` ``"%.9g"`` or ``"%.2f"``. ``format_pairs``
+writes the two-column ``%.2f`` table of one x array beside each of
+several y arrays, formatting the x cells once. It computes every
 cell's correctly rounded decimal digits and exponent with float array
 operations, writes them into a fixed-width byte frame with a pad byte
 (0) for each absent character, and drops the pad bytes of a whole chunk
@@ -31,17 +33,20 @@ Exactness rule for ``%.9g``, on finite x with 1e-290 <= |x| < 1e290:
   trailing zeros and a bare ``.`` removed, and an exponent with a sign
   and at least two digits. ±0 is written ``0`` / ``-0``.
 
-Exactness rule for ``%.2f``, on finite x with ``|x| < 1e6``:
+Exactness rule for ``%.2f``, on x < 1e4 with the sign bit clear:
 
-* ``s = |x| * 100`` is within half an ulp of the exact product. The
-  fast path is taken only when ``|s - floor(s) - 0.5| > 8 * ulp(s)``,
-  so ``rint(s)`` is the correctly rounded count of hundredths.
-* ``-`` is written whenever the sign bit is set, as ``%`` does for
-  ``-0.001`` (``-0.00``) and ``-0.0``.
+* ``s = x * 100`` is within half an ulp of the exact product. The fast
+  path is taken only when ``|s - floor(s) - 0.5| > 8 * ulp(s)``, so
+  ``rint(s)`` is the correctly rounded count of hundredths, and only
+  when that count is below 999999.5: at most four integer digits.
+* The cell is then one 8-byte word: the integer digits (leading zeros
+  as pad bytes, the units digit kept), the point, two decimals and the
+  separator.
 
-Every other cell takes ``%``: NaN, ±inf, subnormals, magnitudes
-outside the ranges above and near-ties (exact ties included, which
-``%`` rounds half to even).
+Every other cell takes ``%``: NaN, ±inf, a set sign bit (-0.0
+included), values that round to 10000.00 or more, for ``%.9g``
+subnormals and magnitudes outside its range above, and near-ties
+(exact ties included, which ``%`` rounds half to even).
 """
 
 from __future__ import annotations
@@ -84,6 +89,19 @@ def _tables():
     head, tail = np.array(head, dtype=np.int64), np.array(tail, dtype=np.int64)
     split, units = np.array(split, dtype=np.int64), np.array(units, dtype=np.int64)
     return digits4, last4, pow10, low, head, tail, split, units
+
+
+@functools.lru_cache(maxsize=None)
+def _lead4():
+    """``digits4`` with leading zeros as pads: ``"%4d" % i`` at index i.
+
+    Apart from ``_tables`` so that only a process writing ``%.2f`` holds it.
+    """
+    digits4, _, _, low = _tables()[:4]
+    lead4 = digits4.copy()
+    for digits in (3, 2, 1):
+        lead4[: 10**digits] &= ~low[4 - digits]
+    return lead4
 
 
 def _g9_mantissa(x):
@@ -164,40 +182,39 @@ def _g9_frame(x, sep, frame):
     return fast
 
 
-# Powers of ten that a %.2f integer part reaches: their count below a
-# value is its number of digits less one.
-_TENS = (10, 100, 1000, 10**4, 10**5, 10**6)
-
-
 def _f2_frame(x, sep, frame):
-    """Fill ``frame`` with the ``%.2f`` text of a 2-D float array; return ``fast``.
+    """Fill ``frame`` with the ``%.2f`` text of a float array; return ``fast``.
 
-    Two words per cell: the sign and seven integer digits; the point,
-    two decimals and the separator ``sep`` (one code per column).
+    One word per cell: four integer digits with pads for leading zeros,
+    the point, two decimals and the separator ``sep`` (one code per
+    column).
     """
     import numpy as np
 
-    digits4, _, _, low = _tables()[:4]
-    a = np.abs(x)
-    fast = a < 1e6
-    np.copyto(a, 0.0, where=~fast)  # NaN, inf and huge values would warn below
-    s = a * 100.0
-    fast &= np.abs(s - np.floor(s) - 0.5) > 8.0 * np.spacing(s)
-    hundredths = np.rint(s).astype(np.int64)
-    whole = hundredths // 100
-    frac = hundredths - whole * 100
-    top = whole // 10000
-    places = digits4[top] >> 8 | digits4[whole - top * 10000] << 24
-    # Drop the leading zeros, keeping the units digit.
-    places &= ~low[6 - np.searchsorted(_TENS, whole, side="right")]
+    digits4, lead4 = _tables()[0], _lead4()
+    fast = x < 1e4  # false for NaN
+    fast &= ~np.signbit(x)
+    s = np.where(fast, x, 0.0)  # NaN, inf and huge values would warn below
+    s *= 100.0
+    hundredths = np.rint(s)
+    off_tie = np.floor(s)
+    off_tie -= s
+    off_tie += 0.5
+    fast &= np.abs(off_tie, out=off_tie) > 8.0 * np.spacing(s)
+    fast &= hundredths < 999999.5
+    np.copyto(hundredths, 0.0, where=~fast)  # inside lead4; the cell is rewritten by %
+    whole, frac = np.divmod(hundredths.astype(np.int64), 100)
 
-    frame[..., 0] = np.signbit(x) * ord("-") | places << 8
-    frame[..., 1] = ord(".") | digits4[frac] >> 16 << 8 | sep << 24
+    word = frame[..., 0]
+    np.right_shift(digits4[frac], 16, out=word)
+    word <<= 40
+    word |= lead4[whole]
+    word |= ord(".") << 32 | sep << 56
     return fast
 
 
 # Frame builder and 8-byte words per cell, by format.
-_FRAMES = {"%.9g": (_g9_frame, 4), "%.2f": (_f2_frame, 2)}
+_FRAMES = {"%.9g": (_g9_frame, 4), "%.2f": (_f2_frame, 1)}
 
 # Cells formatted per step: 512 rows of the 8-column budget table, so
 # the frame and temporaries for the 1000-point preset stay well below
@@ -222,21 +239,55 @@ def format_rows(table, spec: str, sep: str, end: str) -> list[str]:
     cols = table.shape[1]
     seps = np.array([ord(sep)] * (cols - 1) + [ord(end)], dtype=np.int64)
     template = sep.join([spec] * cols) + end
+    build_frame, words = _FRAMES[spec]
+    chunks = []
     step = max(1, _CHUNK_CELLS // cols)
-    return [
-        _format_chunk(table[start : start + step], spec, seps, template)
-        for start in range(0, len(table), step)
-    ]
+    for start in range(0, len(table), step):
+        chunk = table[start : start + step]
+        frame = np.empty(chunk.shape + (words,), dtype="<i8")
+        fast = build_frame(chunk, seps, frame).all(axis=1)
+        chunks.append(_format_chunk(frame, fast, chunk.T, template))
+    return chunks
 
 
-def _format_chunk(chunk, spec: str, seps, template: str) -> str:
+def format_pairs(x, ys, sep: str, end: str):
+    """For each array in ``ys``, ``format_rows`` of its ``%.2f`` pairs with ``x``.
+
+    Yields, per y, the chunks of ``format_rows(np.column_stack((x, y)),
+    "%.2f", sep, end)``, none for an empty ``x``. The x cells are
+    formatted once for all of ``ys``; each chunk's frame is the x words
+    beside that y's words.
+    """
     import numpy as np
 
-    build_frame, words = _FRAMES[spec]
-    frame = np.empty(chunk.shape + (words,), dtype="<i8")
-    fast = build_frame(chunk, seps, frame)
-    frame = frame.view(np.uint8).reshape(len(chunk), -1)
-    slow = np.flatnonzero(~fast.all(axis=1))
+    x = np.asarray(x, dtype=float)
+    x_words = np.empty((len(x), 1), dtype="<i8")
+    x_fast = _f2_frame(x, ord(sep), x_words)
+    y_words = np.empty_like(x_words)
+    template = "%.2f" + sep + "%.2f" + end
+    step = max(1, _CHUNK_CELLS // 2)
+    for y in ys:
+        y = np.asarray(y, dtype=float)
+        fast = _f2_frame(y, ord(end), y_words)
+        fast &= x_fast
+        chunks = []
+        for start in range(0, len(x), step):
+            rows = slice(start, start + step)
+            frame = np.hstack((x_words[rows], y_words[rows]))
+            chunks.append(_format_chunk(frame, fast[rows], (x[rows], y[rows]), template))
+        yield chunks
+
+
+def _format_chunk(frame, fast, columns, template: str) -> str:
+    """The text of a built ``frame`` (rows x words) with its pad bytes dropped.
+
+    A row that is not ``fast`` is written as ``template % row`` instead,
+    from the row's values in ``columns`` (one array per cell of a row).
+    """
+    import numpy as np
+
+    frame = frame.view(np.uint8).reshape(len(frame), -1)
+    slow = np.flatnonzero(~fast)
     frame[slow] = 0  # those rows are written by % below
     text = frame.tobytes().translate(None, b"\0").decode("ascii")
     if not len(slow):
@@ -245,7 +296,7 @@ def _format_chunk(chunk, spec: str, seps, template: str) -> str:
     parts, at = [], 0
     for r in slow.tolist():
         cut = int(stops[r])
-        parts += [text[at:cut], template % tuple(chunk[r].tolist())]
+        parts += [text[at:cut], template % tuple(float(column[r]) for column in columns)]
         at = cut
     parts.append(text[at:])
     return "".join(parts)

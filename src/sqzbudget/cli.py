@@ -128,6 +128,8 @@ def _cmd_sweep(args) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(f"--values must be a comma list of numbers, got {args.values!r}")
+        if not values:
+            raise ConfigError(f"--values must hold at least one number, got {args.values!r}")
         rows = sweep(run, args.axis, values)
     elif extra is None:
         raise ConfigError("sweep needs --values, --solve-improvement-db, or both")

@@ -5,15 +5,20 @@ deterministic number formatting, so the same data always produces the
 same bytes. It draws what ``report.spectrum_svg`` needs: a handful of
 polyline traces over one frequency axis, decade grids, fixed title and
 axis labels, and a legend.
+
+The traces stay arrays from end to end: each is placed on its axis by
+``np.log10`` over the whole array, the frequency axis's ``%.2f`` text
+is formatted once and shared by every polyline, and the polyline text
+goes into the document in chunks that are joined once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from ._numfmt import format_rows
+from ._numfmt import format_pairs
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -44,23 +49,24 @@ def _fmt(v: float) -> str:
     return "%.2f" % v
 
 
-def _points(px: np.ndarray, py: np.ndarray) -> str:
-    """Polyline ``points`` text: "x,y" pairs at two decimals, space-separated.
+def _points(px: np.ndarray, pys: Iterable[np.ndarray]) -> Iterator[list[str]]:
+    """Polyline ``points`` text of each y in ``pys`` over the x in ``px``.
 
-    Written by ``_numfmt.format_rows``, which computes the ``%.2f``
-    digits with numpy array operations and leaves a pair holding a
-    near-tie, NaN, inf or a value of 1e6 or more to ``%``, so the text
-    is exactly ``"%.2f,%.2f" % (x, y)`` per point.
+    Yields, per y, chunks whose join is the "x,y" pairs at two decimals,
+    space-separated. Written by ``_numfmt.format_pairs``, which formats
+    the x text once for every y and leaves a pair holding a near-tie,
+    NaN, inf, a negative value or one of 1e4 or more to ``%``, so the
+    text is exactly ``"%.2f,%.2f" % (x, y)`` per point.
     """
-    import numpy as np
-
-    pairs = np.column_stack((px, py))
-    return "".join(format_rows(pairs, "%.2f", ",", " "))[:-1]
+    for chunks in format_pairs(px, pys, ",", " "):
+        if chunks:
+            chunks[-1] = chunks[-1][:-1]  # no space after the last pair
+        yield chunks
 
 
 def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: str, dash=None) -> str:
     dash_attr = ' stroke-dasharray="%s"' % dash if dash else ""
-    return '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"%s/>' % (
+    return '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"%s/>\n' % (
         _fmt(x1), _fmt(y1), _fmt(x2), _fmt(y2), stroke, width, dash_attr
     )
 
@@ -80,13 +86,18 @@ class _LogAxis:
         self.px_lo = px_lo
         self.px_hi = px_hi
 
-    def place(self, values: Sequence[float]) -> np.ndarray:
-        """Pixel coordinates of ``values``, one per value."""
+    def place(self, values: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Pixel coordinates of ``values``, one per value.
+
+        The logs are taken by ``np.log10`` over the float array, the
+        function ``budget.improvement_db`` applies to the same spectra.
+        Its last bit can differ from ``math.log10``'s, and between the
+        AVX-512 and the baseline loop numpy may dispatch to; the golden
+        figures are checked with both loops.
+        """
         import numpy as np
 
-        # math.log10, not np.log10: they differ in the last bit on some
-        # inputs, which can move a coordinate across a %.2f boundary.
-        logs = np.fromiter(map(math.log10, values), dtype=float, count=len(values))
+        logs = np.log10(np.asarray(values, dtype=float))
         frac = (logs - self.lo) / (self.hi - self.lo)
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
@@ -107,7 +118,8 @@ def render_loglog(traces: Sequence[Trace]) -> str:
     """Draw the spectrum figure; returns the SVG document text.
 
     The traces share one frequency axis, the first trace's ``x``, which
-    is placed once; every other trace must carry the same frequencies.
+    is placed and formatted once; every other trace must carry the same
+    frequencies.
     """
     import numpy as np
 
@@ -118,33 +130,34 @@ def render_loglog(traces: Sequence[Trace]) -> str:
     plot_h = _HEIGHT - margin_t - margin_b
 
     f = np.asarray(traces[0].x, dtype=float)
-    for trace in traces:
+    ys = [np.asarray(trace.y, dtype=float) for trace in traces]
+    for trace, y in zip(traces, ys):
         if trace.x is not traces[0].x and not np.array_equal(trace.x, f):
             raise DomainError(f"trace {trace.label!r} is not on the first trace's frequencies")
-        if np.shape(trace.y) != f.shape:
+        if y.shape != f.shape:
             raise DomainError(
-                f"trace {trace.label!r} has {np.size(trace.y)} y values for {f.size} frequencies"
+                f"trace {trace.label!r} has {y.size} y values for {f.size} frequencies"
             )
-    ys = np.array([trace.y for trace in traces], dtype=float)
-    if not all(((a > 0.0) & (a <= _MAX_VALUE)).all() for a in (f, ys)):
+    if not all(((a > 0.0) & (a <= _MAX_VALUE)).all() for a in (f, *ys)):
         raise DomainError(f"log-log traces need positive finite data up to {_MAX_VALUE!r}")
 
     x_lo = 10.0 ** math.floor(math.log10(f.min()) + 1e-12)
     x_hi = 10.0 ** math.ceil(math.log10(f.max()) - 1e-12)
-    y_lo = 10.0 ** math.floor(math.log10(ys.min()) + 1e-12)
-    y_hi = 10.0 ** math.ceil(math.log10(ys.max()) - 1e-12)
+    y_lo = 10.0 ** math.floor(math.log10(min(y.min() for y in ys)) + 1e-12)
+    y_hi = 10.0 ** math.ceil(math.log10(max(y.max() for y in ys)) - 1e-12)
 
     ax_x = _LogAxis(x_lo, x_hi, margin_l, margin_l + plot_w)
     ax_y = _LogAxis(y_lo, y_hi, margin_t + plot_h, margin_t)  # y grows upward
 
+    # Every piece ends its own line, so the document is joined once.
     out: list[str] = []
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (_WIDTH, _HEIGHT, _WIDTH, _HEIGHT)
+        'viewBox="0 0 %d %d">\n' % (_WIDTH, _HEIGHT, _WIDTH, _HEIGHT)
     )
-    out.append('<rect x="0" y="0" width="%d" height="%d" fill="white"/>' % (_WIDTH, _HEIGHT))
+    out.append('<rect x="0" y="0" width="%d" height="%d" fill="white"/>\n' % (_WIDTH, _HEIGHT))
     out.append(
-        '<text x="%s" y="26" %s font-size="15" text-anchor="middle" fill="#202020">%s</text>'
+        '<text x="%s" y="26" %s font-size="15" text-anchor="middle" fill="#202020">%s</text>\n'
         % (_fmt(margin_l + plot_w / 2.0), _FONT, _TITLE)
     )
 
@@ -157,28 +170,29 @@ def render_loglog(traces: Sequence[Trace]) -> str:
     for d, px in zip(x_decades, ax_x.place([10.0**d for d in x_decades]).tolist()):
         out.append(_line(px, margin_t, px, margin_t + plot_h, "#c8c8c8", "1"))
         out.append(
-            '<text x="%s" y="%s" %s font-size="12" text-anchor="middle" fill="#404040">%s</text>'
+            '<text x="%s" y="%s" %s font-size="12" text-anchor="middle" fill="#404040">%s</text>\n'
             % (_fmt(px), _fmt(margin_t + plot_h + 20.0), _FONT, _decade_label(d))
         )
     y_decades = ax_y.decades()
     for d, py in zip(y_decades, ax_y.place([10.0**d for d in y_decades]).tolist()):
         out.append(_line(margin_l, py, margin_l + plot_w, py, "#c8c8c8", "1"))
         out.append(
-            '<text x="%s" y="%s" %s font-size="12" text-anchor="end" fill="#404040">%s</text>'
+            '<text x="%s" y="%s" %s font-size="12" text-anchor="end" fill="#404040">%s</text>\n'
             % (_fmt(margin_l - 8.0), _fmt(py + 4.0), _FONT, _decade_label(d))
         )
 
     out.append(
-        '<rect x="%s" y="%s" width="%s" height="%s" fill="none" stroke="#404040" stroke-width="1"/>'
+        '<rect x="%s" y="%s" width="%s" height="%s" fill="none" stroke="#404040" '
+        'stroke-width="1"/>\n'
         % (_fmt(margin_l), _fmt(margin_t), _fmt(plot_w), _fmt(plot_h))
     )
     out.append(
-        '<text x="%s" y="%s" %s font-size="13" text-anchor="middle" fill="#202020">%s</text>'
+        '<text x="%s" y="%s" %s font-size="13" text-anchor="middle" fill="#202020">%s</text>\n'
         % (_fmt(margin_l + plot_w / 2.0), _fmt(_HEIGHT - 14.0), _FONT, _XLABEL)
     )
     out.append(
         '<text x="20" y="%s" %s font-size="13" text-anchor="middle" '
-        'fill="#202020" transform="rotate(-90 20 %s)">%s</text>'
+        'fill="#202020" transform="rotate(-90 20 %s)">%s</text>\n'
         % (
             _fmt(margin_t + plot_h / 2.0),
             _FONT,
@@ -187,13 +201,14 @@ def render_loglog(traces: Sequence[Trace]) -> str:
         )
     )
 
-    px = ax_x.place(f.tolist())
-    for trace, y in zip(traces, ys):
-        points = _points(px, ax_y.place(y.tolist()))
+    polylines = _points(ax_x.place(f), (ax_y.place(y) for y in ys))
+    for trace, points in zip(traces, polylines):
         dash = ' stroke-dasharray="%s"' % trace.dash if trace.dash else ""
+        out.append('<polyline points="')
+        out += points
         out.append(
-            '<polyline points="%s" fill="none" stroke="%s" stroke-width="%s"%s/>'
-            % (points, trace.color, _fmt(trace.width), dash)
+            '" fill="none" stroke="%s" stroke-width="%s"%s/>\n'
+            % (trace.color, _fmt(trace.width), dash)
         )
 
     # legend, top right inside the frame
@@ -202,7 +217,7 @@ def render_loglog(traces: Sequence[Trace]) -> str:
     box_h = 20.0 * len(traces) + 10.0
     out.append(
         '<rect x="%s" y="%s" width="222" height="%s" fill="white" '
-        'stroke="#c8c8c8" stroke-width="1"/>'
+        'stroke="#c8c8c8" stroke-width="1"/>\n'
         % (_fmt(legend_x), _fmt(legend_y), _fmt(box_h))
     )
     for i, trace in enumerate(traces):
@@ -219,10 +234,9 @@ def render_loglog(traces: Sequence[Trace]) -> str:
             )
         )
         out.append(
-            '<text x="%s" y="%s" %s font-size="12" fill="#202020">%s</text>'
+            '<text x="%s" y="%s" %s font-size="12" fill="#202020">%s</text>\n'
             % (_fmt(legend_x + 50.0), _fmt(row_y), _FONT, trace.label)
         )
 
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
+    out.append("</svg>\n")
+    return "".join(out)

@@ -296,6 +296,18 @@ class TestSweep:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--values", ","], ["--values", " , ,", "--solve-improvement-db", "6"]],
+    )
+    def test_values_without_a_number_exits_2_and_names_the_flag(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep", *argv, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --values must hold at least one number, got {argv[1]!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_needs_values_or_solve(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 

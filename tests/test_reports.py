@@ -127,9 +127,18 @@ def test_csv_without_rows_is_its_header():
     assert report_module._csv(["# a table", "a,b,c"], np.empty((0, 3))) == "# a table\na,b,c\n"
 
 
-def _place_per_point(axis, value):
-    """``_LogAxis.place`` as it was, for one value: the reference."""
-    frac = (math.log10(value) - axis.lo) / (axis.hi - axis.lo)
+def _np_log10(value):
+    """``np.log10`` of one value, taken over a one-element array."""
+    return float(np.log10(np.array([value]))[0])
+
+
+def _place_per_point(axis, value, log10=math.log10):
+    """``_LogAxis.place`` for one value, its log taken by ``log10``: the reference.
+
+    With ``math.log10`` it is the per-point placement that ``place`` used
+    before it took ``np.log10`` over the array.
+    """
+    frac = (log10(value) - axis.lo) / (axis.hi - axis.lo)
     return axis.px_lo + frac * (axis.px_hi - axis.px_lo)
 
 
@@ -148,13 +157,15 @@ def test_polyline_points_match_the_per_point_writer(case):
     xs, ys = [x for x, _ in points], [y for _, y in points]
     ax_x = _LogAxis(10.0**lo, 10.0**hi, 86.0, 796.0)
     ax_y = _LogAxis(10.0**lo, 10.0**hi, 462.0, 48.0)
-    px = [_place_per_point(ax_x, x) for x in xs]
-    py = [_place_per_point(ax_y, y) for y in ys]
     placed_x, placed_y = ax_x.place(xs), ax_y.place(ys)
     # Equal to the last bit, not only after rounding to two decimals.
-    assert placed_x.tolist() == px and placed_y.tolist() == py
+    assert placed_x.tolist() == [_place_per_point(ax_x, x, _np_log10) for x in xs]
+    assert placed_y.tolist() == [_place_per_point(ax_y, y, _np_log10) for y in ys]
+    # The text is still that of the per-point math.log10 placement.
+    px = [_place_per_point(ax_x, x) for x in xs]
+    py = [_place_per_point(ax_y, y) for y in ys]
     expected = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in zip(px, py))
-    assert _points(placed_x, placed_y) == expected
+    assert "".join(*_points(placed_x, [placed_y])) == expected
 
 
 def _kernel(values, spec):
@@ -198,13 +209,41 @@ def test_f2_kernel_matches_percent_on_edge_cases():
     values = [
         0.125, 0.375, -0.001, -0.0, 0.0, 999999.995, 999999.994, 1e6, 1234567.891, 1e8,
         0.005, 0.015, 2.675, 796.0, 5e-324, 1e300, math.nan, math.inf, -math.inf,
+        # The edges of the one-word cell: four integer digits, no sign bit.
+        9999.994, 9999.995, 9999.996, 1e4, 99.995, 1e-320,
     ]
     values += [-v for v in values]
     assert _kernel(values, "%.2f").splitlines() == ["%.2f" % v for v in values]
+    pairs = np.array(values).reshape(-1, 2)
+    assert "".join(format_rows(pairs, "%.2f", ",", " ")) == "".join(
+        "%.2f,%.2f " % (x, y) for x, y in pairs.tolist()
+    )
     pinned = [0.125, 0.375, -0.001, -0.0, 999999.995, 1e8, math.nan]
     assert _kernel(pinned, "%.2f").splitlines() == [
         "0.12", "0.38", "-0.00", "-0.00", "999999.99", "100000000.00", "nan",
     ]
+
+
+_COORD = st.one_of(_FLOAT, st.floats(0.0, 1e4), st.integers(0, 10**6).map(lambda h: h / 100.0))
+
+
+@given(
+    data=st.data(),
+    n=st.integers(0, 12),
+    curves=st.integers(1, 3),
+    chunk_cells=st.integers(1, 7),
+)
+@settings(max_examples=300, deadline=None)
+def test_pairs_share_x_and_match_percent(data, n, curves, chunk_cells):
+    x = data.draw(st.lists(_COORD, min_size=n, max_size=n))
+    ys = [data.draw(st.lists(_COORD, min_size=n, max_size=n)) for _ in range(curves)]
+    saved = _numfmt._CHUNK_CELLS
+    _numfmt._CHUNK_CELLS = chunk_cells  # cross chunk boundaries on small curves
+    try:
+        texts = ["".join(chunks) for chunks in _numfmt.format_pairs(x, ys, ",", " ")]
+    finally:
+        _numfmt._CHUNK_CELLS = saved
+    assert texts == ["".join("%.2f,%.2f " % pair for pair in zip(x, y)) for y in ys]
 
 
 def test_csv_array_with_fallback_rows_on_a_chunk_boundary():
