@@ -18,6 +18,7 @@ Improvements are power dB of the noise-power ratio, i.e.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -37,12 +38,21 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# Parts below this cannot overflow their quadrature sum:
+# hypot(a, b) <= sqrt(2) * max(a, b).
+_PART_MAX = sys.float_info.max / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseSpectrum:
     """Strain noise budget on a frequency grid.
 
     ``quantum`` already includes any squeezing factor; ``total`` is the
-    quadrature sum of the two sources, derived at construction.
+    quadrature sum of the two sources, derived at construction. Each
+    part is copied into a read-only float array and must have one entry
+    per grid point and be finite; ``quantum`` must be positive and
+    ``tech`` non-negative, and ``total`` must be finite too. A fault is
+    reported as a DomainError, checked in that order.
     """
 
     grid: FrequencyGrid
@@ -55,20 +65,27 @@ class NoiseSpectrum:
 
         n = len(self.grid)
         for name in ("quantum", "tech"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise DomainError(
                     f"{name} must have one entry per grid point "
                     f"({arr.shape} vs {n})"
                 )
+            # Tested before any reduction, by isfinite, which sets no
+            # floating-point flag: some numpy builds warn on a NaN in min.
             if not np.isfinite(arr).all():
                 raise DomainError(f"{name} must be finite")
-            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (self.quantum > 0.0).all() or not (self.tech >= 0.0).all():
+        if not (self.quantum.min() > 0.0 and self.tech.min() >= 0.0):
             raise DomainError("quantum must be positive and tech non-negative")
-        total = np.hypot(self.quantum, self.tech)
+        if max(self.quantum.max(), self.tech.max()) < _PART_MAX:
+            total = np.hypot(self.quantum, self.tech)
+        else:
+            with np.errstate(over="ignore"):
+                total = np.hypot(self.quantum, self.tech)
+            if not np.isfinite(total).all():
+                raise DomainError("total = hypot(quantum, tech) must be finite")
         total.setflags(write=False)
         object.__setattr__(self, "total", total)
 
@@ -80,8 +97,8 @@ def total_noise(cfg: IfoConfig, grid: FrequencyGrid, sqz: float = 1.0) -> NoiseS
     the squeezing factor otherwise. Sources add in quadrature.
     """
     require(0.0 < sqz < math.inf, "squeezing factor", sqz, "must be > 0 and finite")
-    shot = shot_noise_asd(cfg, grid.values)
-    return NoiseSpectrum(grid, sqz * shot, technical_noise_asd(cfg, grid.values))
+    shot = shot_noise_asd(cfg, grid)
+    return NoiseSpectrum(grid, sqz * shot, technical_noise_asd(cfg, grid))
 
 
 def improvement_db(
@@ -176,9 +193,9 @@ def required_efficiency_for_improvement(target_db: float, level: SqueezeLevel) -
 class BudgetReport:
     """Everything one budget evaluation produced.
 
-    ``ledger`` tabulates the named loss stages; when the configuration
-    pins ``eta_total`` the budget itself uses that measured value, and
-    ``eta_effective`` records which number was used.
+    ``eta_stage_product`` is the product of the named loss stages; when
+    the configuration pins ``eta_total`` the budget itself uses that
+    measured value, and ``eta_effective`` records which number was used.
     """
 
     run: RunConfig
@@ -191,8 +208,17 @@ class BudgetReport:
     rate_gain: float
     eta_effective: float
     eta_stage_product: float
-    ledger: tuple[DegradationRow, ...]
     anchor_computed_asd: float
+
+    @property
+    def ledger(self) -> tuple[DegradationRow, ...]:
+        """The named loss stages tabulated stage by stage.
+
+        Built by ``degradation_report`` each time it is read, so a sweep,
+        which never reads it, builds none. Its last ``eta_cumulative`` is
+        ``eta_stage_product``, bit for bit.
+        """
+        return degradation_report(self.run.level, self.run.loss_stages)
 
 
 def build_report(run: RunConfig) -> BudgetReport:
@@ -215,7 +241,6 @@ def build_report(run: RunConfig) -> BudgetReport:
         off, on, (run.band_min_hz, run.band_max_hz)
     )
     per_bin.setflags(write=False)
-    ledger = degradation_report(run.level, run.loss_stages)
     anchor_f = run.ifo.anchor_freq_hz
     anchor_total = math.hypot(
         float(shot_noise_asd(run.ifo, anchor_f)),
@@ -231,8 +256,7 @@ def build_report(run: RunConfig) -> BudgetReport:
         squeezing_factor=sqz,
         rate_gain=detection_rate_gain(1.0 / sqz),
         eta_effective=chain_efficiency(chain),
-        eta_stage_product=ledger[-1].eta_cumulative,
-        ledger=ledger,
+        eta_stage_product=chain_efficiency(run.loss_stages),
         anchor_computed_asd=anchor_total,
     )
 

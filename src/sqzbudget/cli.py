@@ -111,6 +111,11 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.format == "csv" and args.solve_improvement_db is not None:
+        raise ConfigError(
+            "--format csv drops --solve-improvement-db: the required efficiency "
+            "is written only to sweep.json; use --format json or all"
+        )
     run = _load_run(args)
     extra = None
     if args.solve_improvement_db is not None:
@@ -133,8 +138,6 @@ def _cmd_sweep(args) -> int:
         rows = sweep(run, args.axis, values)
     elif extra is None:
         raise ConfigError("sweep needs --values, --solve-improvement-db, or both")
-    elif args.format == "csv":
-        raise ConfigError("--format csv needs --values: a solve-only sweep has no rows for sweep.csv")
     text = sweep_csv(args.axis, rows) if rows else sweep_json(args.axis, rows, extra)
     if rows and args.format in ("csv", "all"):
         _write(args.out, "sweep.csv", text)

@@ -193,13 +193,19 @@ class FrequencyGrid:
 def _positive_freq(f):
     """``f`` checked positive and finite, with the ``sqrt`` and ``maximum`` for it.
 
-    A Python number or 0-d array becomes a float and gets ``math.sqrt``
-    and ``max``; anything else becomes a float array and gets numpy's.
+    A ``FrequencyGrid`` gives its ``values`` unchanged, as they were
+    checked when the grid was built. A Python number or 0-d array
+    becomes a float and gets ``math.sqrt`` and ``max``; anything else
+    becomes a float array and gets numpy's; both are checked here.
     The operators applied to either are the same, so one formula gives
     the same bits for a float as for that float in an array. Squares are
     written ``x * x``: that is how numpy squares an array, while a float's
     ``x ** 2`` goes through ``pow``, which can differ in the last bit.
     """
+    if isinstance(f, FrequencyGrid):
+        import numpy as np
+
+        return f.values, np.sqrt, np.maximum
     message = "frequency must be positive and finite"
     if not isinstance(f, (int, float)):
         import numpy as np
@@ -216,12 +222,13 @@ def _positive_freq(f):
 
 
 def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
-    """Quantum-noise strain ASD at frequency ``f`` (scalar or array).
+    """Quantum-noise strain ASD at frequency ``f`` (scalar, array or grid).
 
     Flat below the signal-recycling pole and rising as f above it:
     A * sqrt(1 + (f / sr_pole_hz)^2), with the flat level
     A = shot_scale / (arm_length_eff * sqrt(power_bs)) fixed by the
-    anchor calibration. Units: strain / sqrt(Hz).
+    anchor calibration. Units: strain / sqrt(Hz). A ``FrequencyGrid``
+    gives the same bits as its ``values`` array, whose checks it skips.
     """
     f, sqrt, _ = _positive_freq(f)
     ratio = f / cfg.sr_pole_hz
@@ -229,11 +236,13 @@ def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
 
 
 def technical_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
-    """Technical-noise strain ASD at frequency ``f`` (scalar or array).
+    """Technical-noise strain ASD at frequency ``f`` (scalar, array or grid).
 
     Flat in displacement at tech_displacement_asd up to tech_corner_hz,
     rolling off as (corner/f)^2 in displacement above; referred to strain
-    by the effective arm length. Continuous at the corner.
+    by the effective arm length. Continuous at the corner. A
+    ``FrequencyGrid`` gives the same bits as its ``values`` array, whose
+    checks it skips.
     """
     f, _, maximum = _positive_freq(f)
     # Clamped before the division: the ratio is <= 1, so no bin overflows.

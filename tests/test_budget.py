@@ -14,11 +14,13 @@ from sqzbudget import (
     DomainError,
     FrequencyGrid,
     IfoConfig,
+    LossElement,
     NoiseSpectrum,
     RunConfig,
     SqueezeLevel,
     build_report,
     default_run_config,
+    degradation_report,
     detection_rate_gain,
     improvement_db,
     required_efficiency_for_improvement,
@@ -28,6 +30,7 @@ from sqzbudget import (
     technical_noise_asd,
     total_noise,
 )
+from sqzbudget.report import summary_json
 
 GRID = FrequencyGrid(np.geomspace(10.0, 10000.0, 400))
 # The summary band of the default run.
@@ -84,6 +87,17 @@ def test_noise_spectrum_validation():
         ([1e-21, 1e-21], [0.0, -1e-22], "quantum must be positive and tech non-negative"),
         ([1e-21], [0.0, 0.0], "quantum must have one entry per grid point ((1,) vs 2)"),
         ([1e-21, 1e-21], [0.0], "tech must have one entry per grid point ((1,) vs 2)"),
+        # Finite parts whose quadrature sum overflows.
+        ([1.5e308, 1.5e308], [1.5e308, 1.0], "total = hypot(quantum, tech) must be finite"),
+        # Two faults: the first check in order names the first.
+        ([1e-21, math.nan], [0.0], "quantum must be finite"),
+        ([1e-21], [0.0, math.nan], "quantum must have one entry per grid point ((1,) vs 2)"),
+        ([math.nan], [0.0, 0.0], "quantum must have one entry per grid point ((1,) vs 2)"),
+        ([-1e-21, 1e-21], [0.0, math.inf], "tech must be finite"),
+        ([0.0, 1e-21], [0.0], "tech must have one entry per grid point ((1,) vs 2)"),
+        ([-1.5e308, 1.5e308], [1.5e308, 1.5e308], "quantum must be positive and tech non-negative"),
+        ([1.5e308, 1.5e308], [math.nan, 1.5e308], "tech must be finite"),
+        ([1e-21, math.nan], "not a number", "quantum must be finite"),
     ],
 )
 def test_noise_spectrum_rejects(quantum, tech, message):
@@ -91,6 +105,13 @@ def test_noise_spectrum_rejects(quantum, tech, message):
     with pytest.raises(DomainError) as info:
         NoiseSpectrum(grid, np.array(quantum), np.array(tech))
     assert str(info.value) == message
+
+
+def test_noise_spectrum_keeps_large_parts_whose_total_is_finite():
+    grid = FrequencyGrid(np.array([100.0, 1000.0]))
+    spectrum = NoiseSpectrum(grid, [1.7e308, 1e-21], [1.0, 0.0])
+    assert spectrum.total.tolist() == [1.7e308, 1e-21]
+    assert not spectrum.total.flags.writeable
 
 
 class TestImprovement:
@@ -355,6 +376,41 @@ class TestReport:
         report = build_report(run)
         assert report.squeezing_factor > 1.0
         assert report.shot_limited_improvement_db < 0.0
+
+
+_STAGES = st.lists(
+    st.tuples(st.sampled_from(["sr", "omc", "pd", "faraday"]), st.floats(1e-3, 1.0)),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestLedgerOnDemand:
+    @given(stages=_STAGES, eta_total=st.one_of(st.none(), st.floats(0.05, 1.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_stage_product_and_ledger_match_the_degradation_report(self, stages, eta_total):
+        from dataclasses import replace
+
+        chain = tuple(LossElement(name, eff) for name, eff in stages)
+        run = replace(default_run_config(), loss_stages=chain, eta_total=eta_total)
+        report = build_report(run)
+        rows = degradation_report(run.level, chain)
+        assert report.eta_stage_product.hex() == rows[-1].eta_cumulative.hex()
+        assert report.ledger == rows
+
+    def test_sweep_builds_no_ledger_and_a_summary_builds_one(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return degradation_report(*args)
+
+        monkeypatch.setattr(budget, "degradation_report", counting)
+        run = default_run_config()
+        sweep(run, "eta", [0.5, 0.6, 0.7])
+        assert calls == []
+        summary_json(build_report(run))
+        assert calls == [(run.level, run.loss_stages)]
 
 
 class TestSweep:

@@ -318,10 +318,23 @@ class TestSweep:
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: --format csv needs --values: a solve-only sweep has no rows for sweep.csv\n"
+            "error: --format csv drops --solve-improvement-db: the required efficiency "
+            "is written only to sweep.json; use --format json or all\n"
         )
         assert captured.out == ""
         assert os.listdir(out) == []
+
+    def test_solve_with_values_and_csv_exits_2_and_names_both_flags(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep", "--values", "0.5,0.6", "--solve-improvement-db", "6", "--format", "csv"]
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --format csv drops --solve-improvement-db: the required efficiency "
+            "is written only to sweep.json; use --format json or all\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "target, message",

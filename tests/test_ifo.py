@@ -165,6 +165,21 @@ class TestScalarAndArrayAgree:
             assert array.shape == (1,)
             assert scalar.hex() == float(array[0]).hex()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corner=st.floats(1e-3, 1e8),
+        pole=st.floats(1e-2, 1e8),
+        f_min=st.floats(1e-3, 1e6),
+        decades=st.floats(1e-3, 8.0),
+        points=st.integers(2, 3000),
+        spacing=st.sampled_from([np.geomspace, np.linspace]),
+    )
+    def test_grid_gives_the_bits_of_its_values(self, corner, pole, f_min, decades, points, spacing):
+        cfg = IfoConfig(sr_pole_hz=pole, tech_corner_hz=corner)
+        grid = FrequencyGrid(spacing(f_min, f_min * 10.0**decades, points))
+        for asd in (shot_noise_asd, technical_noise_asd):
+            assert asd(cfg, grid).tobytes() == asd(cfg, grid.values).tobytes()
+
 
 class TestFirstPrinciples:
     def test_formula(self):

@@ -9,10 +9,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqzbudget import IfoConfig, build_report, default_run_config, standard_suite, sweep
+from sqzbudget import (
+    IfoConfig,
+    SweepRow,
+    build_report,
+    default_run_config,
+    standard_suite,
+    sweep,
+)
 from sqzbudget import _numfmt
 from sqzbudget import report as report_module
 from sqzbudget import svgplot
@@ -365,6 +372,35 @@ def test_sweep_serialization():
     assert payload["axis"] == "eta"
     assert len(payload["rows"]) == 2
     assert payload["schema_version"] == 1
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-5, 1e16]
+    ),
+)
+
+
+@given(
+    rows=st.lists(st.builds(SweepRow, *[_JSON_FLOATS] * 4), max_size=12),
+    axis=st.sampled_from(["eta", "injected_db", "sigma"]),
+    required=st.one_of(
+        st.none(),
+        st.fixed_dictionaries(
+            {"target_improvement_db": _JSON_FLOATS, "squeeze_db": _JSON_FLOATS, "eta": _JSON_FLOATS}
+        ),
+    ),
+)
+@example(rows=[], axis="eta", required=None)
+@example(rows=[], axis="sigma", required={"target_improvement_db": 6.0, "squeeze_db": 10.0, "eta": 0.8})
+@settings(max_examples=300, deadline=None)
+def test_sweep_json_rows_match_the_indent_encoder(rows, axis, required):
+    extra = None if required is None else {"required_eta": required}
+    payload = {"schema_version": 1, "axis": axis, "rows": [vars(row) for row in rows]}
+    payload.update(extra or {})
+    expected = json.dumps(report_module._rounded(payload), indent=2, sort_keys=True) + "\n"
+    assert sweep_json(axis, rows, extra) == expected
 
 
 def test_oracle_json_structure():
