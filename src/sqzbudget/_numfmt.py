@@ -10,10 +10,17 @@ several y arrays, formatting the x cells once. It computes every
 cell's correctly rounded decimal digits and exponent with float array
 operations, writes them into a fixed-width byte frame with a pad byte
 (0) for each absent character, and drops the pad bytes of a whole chunk
-in one pass (``bytes.translate``, about twice as fast as a boolean
-mask on these frames). A chunk holds about ``_CHUNK_CELLS`` cells, which
-bounds the memory held at once. A cell the rules below cannot prove
-exact is formatted by ``%`` instead, together with the rest of its row.
+in one pass. A ``%.9g`` cell is three 8-byte words, a ``%.2f`` cell one.
+The drop is a boolean mask over the chunk's bytes: on one thread it
+costs more per byte than ``bytes.translate``, but numpy leaves the GIL
+while it runs, so two chunks' drops overlap. A chunk holds about
+``_CHUNK_CELLS`` cells, which bounds the memory held at once, and is
+made on the calling thread. A big table, of more than 16 such chunks
+(the 1e5-point spectra, not the preset's), is cut into chunks of four
+times that size, made on up to two threads (``_threads.call_all``) and
+joined in order. Which thread makes a chunk cannot change a byte. A
+cell the rules below cannot prove exact is formatted by ``%`` instead,
+together with the rest of its row.
 
 Exactness rule for ``%.9g``, on finite x with 1e-290 <= |x| < 1e290:
 
@@ -32,6 +39,10 @@ Exactness rule for ``%.9g``, on finite x with 1e-290 <= |x| < 1e290:
 * The layout is C's ``%g``: exponent form when ``e < -4`` or ``e >= 9``,
   trailing zeros and a bare ``.`` removed, and an exponent with a sign
   and at least two digits. ±0 is written ``0`` / ``-0``.
+* The cell is then three words: the sign, the prefix (up to ``0.000``),
+  the first digit and the first byte of the rest; the rest's other
+  eight bytes, its eight digits with the point inserted after those
+  that precede it; the exponent and the separator.
 
 Exactness rule for ``%.2f``, on x < 1e4 with the sign bit clear:
 
@@ -52,6 +63,8 @@ subnormals and magnitudes outside its range above, and near-ties
 from __future__ import annotations
 
 import functools
+
+from ._threads import call_all
 
 
 def _word(text: str) -> int:
@@ -77,13 +90,13 @@ def _tables():
     low = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64).view(np.int64)
     # Per decimal exponent e in [-300, 300], at row e + 300: the prefix
     # ("0.000" for e = -4) in bytes 1-5 of the first word, the exponent
-    # ("e+123") in bytes 1-5 of the last, how many of the digits after
+    # ("e+123") in bytes 0-4 of the last, how many of the digits after
     # the first precede the point, and how many are always written.
     head, tail, split, units = [], [], [], []
     for e in range(-300, 301):
         fixed = -4 <= e < 9
         head.append(_word(" " + ("0." + "0" * (-e - 1) if fixed and e < 0 else "")))
-        tail.append(_word(" " + ("" if fixed else "e%+03d" % e)))
+        tail.append(_word("" if fixed else "e%+03d" % e))
         split.append(e if fixed and e >= 0 else 8 if fixed else 0)
         units.append(e if fixed and e >= 0 else 0)
     head, tail = np.array(head, dtype=np.int64), np.array(tail, dtype=np.int64)
@@ -142,9 +155,11 @@ def _g9_mantissa(x):
 def _g9_frame(x, sep, frame):
     """Fill ``frame`` with the ``%.9g`` text of a 2-D float array; return ``fast``.
 
-    Four words per cell: sign, prefix and first digit; the digits before
-    the point; the point and the digits after it; the last digit, the
-    exponent and the separator ``sep`` (one code per column).
+    Three words per cell. Word 0: sign, prefix, the first digit and the
+    first byte of the rest. Word 1: the rest's other eight bytes, the
+    eight digits after the first with the point inserted after the
+    ``before`` digits that precede it. Word 2: the exponent and the
+    separator ``sep`` (one code per column).
     """
     import numpy as np
 
@@ -168,17 +183,25 @@ def _g9_frame(x, sep, frame):
     word |= head[row]
     word |= np.signbit(x) * ord("-")
     before = split[row]
-    np.bitwise_and(digits, low[before], out=frame[..., 1])
+    front = low[before]
+    front &= digits  # the digits before the point
+    digits ^= front  # the digits after it, in place
+    point = (digits != 0) * ord(".")
     before *= 4
-    digits >>= before
-    digits >>= before  # two shifts: never one by 64 bits
+    point <<= before
+    point <<= before  # two shifts: never one by 64 bits
+    front |= point
+    # The rest is front with the digits after the point one byte higher:
+    # its first byte ends word 0 and its other eight are word 1.
+    front_byte = front & 0xFF
+    front_byte <<= 56
+    word |= front_byte
+    word = frame[..., 1]
+    np.right_shift(front, 8, out=word)
+    word |= digits
     word = frame[..., 2]
-    np.left_shift(digits, 8, out=word)
-    word |= (digits != 0) * ord(".")
-    word = frame[..., 3]
-    np.right_shift(digits, 56, out=word)
-    word |= tail[row]
-    word |= sep << 48
+    word[...] = tail[row]
+    word |= sep << 40
     return fast
 
 
@@ -213,13 +236,35 @@ def _f2_frame(x, sep, frame):
     return fast
 
 
-# Frame builder and 8-byte words per cell, by format.
-_FRAMES = {"%.9g": (_g9_frame, 4), "%.2f": (_f2_frame, 1)}
+# Frame builder, 8-byte words per cell, and the cached lookup tables
+# it reads (``_lead4`` builds ``_tables`` too), by format.
+_FRAMES = {"%.9g": (_g9_frame, 3, _tables), "%.2f": (_f2_frame, 1, _lead4)}
 
 # Cells formatted per step: 512 rows of the 8-column budget table, so
 # the frame and temporaries for the 1000-point preset stay well below
-# what the interpreter and numpy already hold.
+# what the interpreter and numpy already hold. A table of more than 16
+# steps is big: it is cut into chunks of 4 steps, made on up to two
+# threads.
 _CHUNK_CELLS = 4096
+
+
+def _chunk_texts(text, rows: int, cols: int) -> list[str]:
+    """``text(rows)`` for each chunk of a table's rows, in order.
+
+    A big table's chunks are made on up to two threads, and the first
+    chunk's error, in chunk order, is raised; a smaller table's are made
+    here, one after another.
+    """
+    big = rows * cols > 16 * _CHUNK_CELLS
+    step = max(1, (4 * _CHUNK_CELLS if big else _CHUNK_CELLS) // cols)
+    calls = [functools.partial(text, slice(at, at + step)) for at in range(0, rows, step)]
+    if not big:
+        return [call() for call in calls]
+    texts = call_all(calls, range(len(calls)))
+    for result in texts:
+        if isinstance(result, Exception):
+            raise result
+    return texts
 
 
 def format_rows(table, spec: str, sep: str, end: str) -> list[str]:
@@ -236,18 +281,18 @@ def format_rows(table, spec: str, sep: str, end: str) -> list[str]:
     import numpy as np
 
     table = np.asarray(table, dtype=float)
-    cols = table.shape[1]
-    seps = np.array([ord(sep)] * (cols - 1) + [ord(end)], dtype=np.int64)
-    template = sep.join([spec] * cols) + end
-    build_frame, words = _FRAMES[spec]
-    chunks = []
-    step = max(1, _CHUNK_CELLS // cols)
-    for start in range(0, len(table), step):
-        chunk = table[start : start + step]
+    seps = np.array([ord(sep)] * (table.shape[1] - 1) + [ord(end)], dtype=np.int64)
+    template = sep.join([spec] * table.shape[1]) + end
+    build_frame, words, tables = _FRAMES[spec]
+    tables()  # built here, before a worker starts, not by two threads at once
+
+    def text(rows):
+        chunk = table[rows]
         frame = np.empty(chunk.shape + (words,), dtype="<i8")
         fast = build_frame(chunk, seps, frame).all(axis=1)
-        chunks.append(_format_chunk(frame, fast, chunk.T, template))
-    return chunks
+        return _format_chunk(frame, fast, chunk.T, template)
+
+    return _chunk_texts(text, *table.shape)
 
 
 def format_pairs(x, ys, sep: str, end: str):
@@ -265,17 +310,16 @@ def format_pairs(x, ys, sep: str, end: str):
     x_fast = _f2_frame(x, ord(sep), x_words)
     y_words = np.empty_like(x_words)
     template = "%.2f" + sep + "%.2f" + end
-    step = max(1, _CHUNK_CELLS // 2)
     for y in ys:
         y = np.asarray(y, dtype=float)
         fast = _f2_frame(y, ord(end), y_words)
         fast &= x_fast
-        chunks = []
-        for start in range(0, len(x), step):
-            rows = slice(start, start + step)
+
+        def text(rows):
             frame = np.hstack((x_words[rows], y_words[rows]))
-            chunks.append(_format_chunk(frame, fast[rows], (x[rows], y[rows]), template))
-        yield chunks
+            return _format_chunk(frame, fast[rows], (x[rows], y[rows]), template)
+
+        yield _chunk_texts(text, len(x), 2)
 
 
 def _format_chunk(frame, fast, columns, template: str) -> str:
@@ -289,7 +333,8 @@ def _format_chunk(frame, fast, columns, template: str) -> str:
     frame = frame.view(np.uint8).reshape(len(frame), -1)
     slow = np.flatnonzero(~fast)
     frame[slow] = 0  # those rows are written by % below
-    text = frame.tobytes().translate(None, b"\0").decode("ascii")
+    flat = frame.ravel()
+    text = flat[flat != 0].tobytes().decode("ascii")
     if not len(slow):
         return text
     stops = np.cumsum(np.count_nonzero(frame, axis=1))

@@ -15,11 +15,10 @@ sqrt(eta) and fill the open port with vacuum.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
+from ._threads import call_all
 from .errors import check_efficiency, require
 from .quadrature import QuadratureState, apply_loss, dephase, readout_variance
 
@@ -242,7 +241,7 @@ def standard_suite(seed: int, n_samples: int) -> tuple[OracleVerdict, ...]:
     # Heaviest first, so that a light check is the last to start: jitter
     # draws three arrays and takes cos and sin, two-stage draws three, the
     # trio two each.
-    runs = _call_all([sample for _, _, sample in checks], (4, 3, 0, 1, 2))
+    runs = call_all([sample for _, _, sample in checks], (4, 3, 0, 1, 2))
     verdicts = []
     for (name, analytic, _), run in zip(checks, runs):
         if isinstance(run, Exception):
@@ -250,38 +249,3 @@ def standard_suite(seed: int, n_samples: int) -> tuple[OracleVerdict, ...]:
         verdicts.append(oracle_compare(name, analytic, run))
     return tuple(verdicts)
 
-
-def _call_all(calls, order) -> list:
-    """Make every call in ``calls``, on up to two threads.
-
-    The calling thread and at most one worker take the next index from
-    ``order`` until none is left. Returns, in the order of ``calls``,
-    each call's result or the exception it raised. The cap of two holds
-    memory at two samplers' buffers at once, each one n-sample array and
-    one block; numpy leaves the GIL while it fills normals and runs
-    ufuncs, so the two overlap.
-    """
-    results: list = [None] * len(calls)
-    pending = list(order)
-
-    def work() -> None:
-        while True:
-            try:
-                i = pending.pop(0)  # one atomic list operation
-            except IndexError:
-                return
-            try:
-                results[i] = calls[i]()
-            except Exception as exc:  # raised by the caller, in call order
-                results[i] = exc
-
-    workers = [threading.Thread(target=work) for _ in range(min(2, os.cpu_count() or 1) - 1)]
-    for worker in workers:
-        worker.start()
-    try:
-        work()
-    finally:
-        pending.clear()  # on an interrupt, a worker stops after its call
-        for worker in workers:
-            worker.join()
-    return results

@@ -5,9 +5,11 @@ sorted, so identical runs produce byte-identical files. ``to_json``,
 ``_csv`` and ``ledger_csv`` apply that rule, so the emitters hand them
 raw values. ``_csv`` writes an all-number table (the spectra, a sweep)
 through ``_numfmt.format_rows``, which computes each cell's ``%.9g``
-digits with numpy array operations and hands any row holding a cell it
-cannot prove exact (NaN, inf, extreme magnitudes, near-ties) back to
-``%``. The ledger has a text column and must not load numpy, so it is
+digits with numpy array operations, three 8-byte words per cell, and
+hands any row holding a cell it cannot prove exact (NaN, inf, extreme
+magnitudes, near-ties) back to ``%``. It formats a big table, such as
+the spectra at 1e5 grid points, in chunks on up to two threads, joined
+in order, so the bytes do not depend on the thread count. The ledger has a text column and must not load numpy, so it is
 written with one literal ``%`` row format. Either way the bytes are
 those of ``fmt9``. Nothing here writes timestamps, hostnames, or
 absolute paths.

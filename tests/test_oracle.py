@@ -1,6 +1,7 @@
 """Monte-Carlo oracle: determinism, agreement, failure detection."""
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqzbudget import oracle
+from sqzbudget import _threads, oracle
 from sqzbudget import (
     DomainError,
     QuadratureState,
@@ -240,8 +241,14 @@ class TestThreadedSuite:
         def no_thread(*args, **kwargs):
             raise AssertionError("a worker thread was started")
 
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(oracle.threading, "Thread", no_thread)
+        # One CPU this process may use; or, with None, a platform without
+        # an affinity call whose CPU count is unknown.
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         verdicts = standard_suite(7, 10_000)
         assert [v.run for v in verdicts] == serial_runs(7, 10_000)
 
@@ -301,7 +308,7 @@ class TestThreadedSuite:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = oracle._call_all([call(i) for i in range(500)], range(499, -1, -1))
+            results = _threads.call_all([call(i) for i in range(500)], range(499, -1, -1))
         finally:
             sys.setswitchinterval(interval)
         assert sorted(made) == list(range(500))

@@ -1,10 +1,13 @@
 """Emitters: CSV/JSON/SVG content, formatting, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -200,6 +203,20 @@ _G9_EDGES = [
     1e308,
     math.nan,
     math.inf,
+    # Each count, 0-8, of the digits after the first that precede the
+    # point, with the point where word 0 ends and inside word 1.
+    *(float("123456789"[: k + 1] + "." + "123456789"[k + 1 :]) for k in range(9)),
+    *(float("1" + "0" * k + ".5") for k in range(9)),
+    # The 0., 0.0, 0.00 and 0.000 prefixes, with nine digits and with one.
+    0.123456789, 0.0123456789, 0.00123456789, 0.000123456789, 0.5, 0.05, 0.005, 0.0005,
+    # Two- and three-digit exponents of both signs.
+    *(float("1.23456789e%d" % e) for e in (-300, -123, -100, -99, -10, -5)),
+    *(float("1.23456789e%d" % e) for e in (9, 10, 99, 100, 123, 300)),
+    1e-05, 2e09, 1.5e-99, 1.5e99, 1.5e-100, 1.5e100,
+    # Trailing zeros dropped: none, some, or every digit after the first.
+    1.0, 10.0, 1e8, 100000000.5, 1.5e-5, 120000000.0, 1.2e-5,
+    # Subnormals; the 1e-290 and 1e290 range edges are in _POWERS.
+    2.2250738585072009e-308, 1e-310,
 ]
 
 
@@ -251,6 +268,120 @@ def test_pairs_share_x_and_match_percent(data, n, curves, chunk_cells):
     finally:
         _numfmt._CHUNK_CELLS = saved
     assert texts == ["".join("%.2f,%.2f " % pair for pair in zip(x, y)) for y in ys]
+
+
+@contextlib.contextmanager
+def _big_tables(chunk_cells, cpus):
+    """Shrink ``_CHUNK_CELLS`` and let the process use ``cpus`` CPUs.
+
+    Yields the list of the threads started meanwhile.
+    """
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_numfmt, "_CHUNK_CELLS", chunk_cells)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch.setattr(threading, "Thread", Thread)
+        yield started
+
+
+_FALLBACKS = {
+    "%.9g": [math.nan, math.inf, -math.inf, -0.0, 123456789.5, 3.312928265e-194, 1e300, 5e-324],
+    "%.2f": [math.nan, math.inf, -math.inf, -0.0, 0.125, 2.675, -1.5, 1e4],
+}
+
+
+def _with_fallbacks(data, table, spec):
+    """``table`` with cells ``%`` writes in its first, middle and last rows and a few more."""
+    rows, cols = table.shape
+    picks = [0, rows // 2, rows - 1] + data.draw(st.lists(st.integers(0, rows - 1), max_size=3))
+    for row in picks:
+        col = data.draw(st.integers(0, cols - 1))
+        table[row, col] = data.draw(st.sampled_from(_FALLBACKS[spec]))
+    return table
+
+
+@given(
+    data=st.data(),
+    spec=st.sampled_from(["%.9g", "%.2f"]),
+    cols=st.integers(1, 4),
+    chunk_cells=st.integers(1, 4),
+    cpus=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_big_tables_match_percent_on_one_or_two_threads(data, spec, cols, chunk_cells, cpus, seed):
+    rows = 16 * chunk_cells // cols + data.draw(st.integers(1, 40))  # a big table
+    rng = np.random.default_rng(seed)
+    sigma = 30.0 if spec == "%.9g" else 3.0
+    table = _with_fallbacks(data, rng.lognormal(0.0, sigma, (rows, cols)), spec)
+    with _big_tables(chunk_cells, cpus) as started:
+        text = "".join(format_rows(table, spec, ",", "\n"))
+    template = ",".join([spec] * cols) + "\n"
+    assert text == "".join(template % tuple(row) for row in table.tolist())
+    assert len(started) == cpus - 1
+
+
+@given(
+    data=st.data(),
+    curves=st.integers(1, 3),
+    chunk_cells=st.integers(1, 4),
+    cpus=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_big_figures_match_percent_on_one_or_two_threads(data, curves, chunk_cells, cpus, seed):
+    n = 8 * chunk_cells + data.draw(st.integers(1, 40))  # 2n cells: a big table
+    rng = np.random.default_rng(seed)
+    pairs = [_with_fallbacks(data, rng.uniform(0.0, 1e4, (n, 2)), "%.2f") for _ in range(curves)]
+    x, ys = pairs[0][:, 0], [p[:, 1] for p in pairs]
+    with _big_tables(chunk_cells, cpus) as started:
+        texts = ["".join(chunks) for chunks in _numfmt.format_pairs(x, ys, ",", " ")]
+    assert texts == ["".join("%.2f,%.2f " % xy for xy in zip(x, y)) for y in ys]
+    assert len(started) == (cpus - 1) * curves
+
+
+def test_big_table_bytes_do_not_depend_on_the_cpus():
+    report = build_report(replace(default_run_config(), grid_points=20011))  # 160088 cells
+    texts = []
+    for cpus in (1, 2):
+        with _big_tables(_numfmt._CHUNK_CELLS, cpus) as started:
+            texts.append(budget_csv(report) + spectrum_svg(report))
+        assert bool(started) == (cpus == 2)
+    assert texts[0] == texts[1]
+
+
+def test_a_failing_chunk_of_a_big_table_is_raised_in_chunk_order(monkeypatch):
+    # Chunk 2 fails after chunk 4, which fails at once; chunk 2 comes
+    # earlier in chunk order and wins.
+    class EarlyChunkError(Exception):
+        pass
+
+    class LateChunkError(Exception):
+        pass
+
+    build, words, tables = _numfmt._FRAMES["%.9g"]
+
+    def failing(x, sep, frame):
+        if x[0, 0] == 2.0:
+            time.sleep(0.05)
+            raise EarlyChunkError
+        if x[0, 0] == 4.0:
+            raise LateChunkError
+        return build(x, sep, frame)
+
+    monkeypatch.setitem(_numfmt._FRAMES, "%.9g", (failing, words, tables))
+    table = np.repeat(np.arange(8.0), 4).reshape(-1, 1)  # chunk k holds the value k
+    before = threading.active_count()
+    with _big_tables(1, 2) as started, pytest.raises(EarlyChunkError):
+        format_rows(table, "%.9g", ",", "\n")
+    assert started
+    assert threading.active_count() == before
 
 
 def test_csv_array_with_fallback_rows_on_a_chunk_boundary():
