@@ -13,12 +13,17 @@ squeezed-versus-unsqueezed improvement two ways:
 
 Improvements are power dB of the noise-power ratio, i.e.
 20*log10(asd_off / asd_on).
+
+On a float grid (``build_report(run, floats=True)``) the spectra are tuples
+of floats, evaluated with ``math`` without numpy; ``math.log10`` may differ
+from numpy's in the last bit, so the nine-digit text is the contract.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -56,37 +61,53 @@ class NoiseSpectrum:
     """
 
     grid: FrequencyGrid
-    quantum: np.ndarray
-    tech: np.ndarray
-    total: np.ndarray = field(init=False)
+    quantum: np.ndarray | tuple[float, ...]
+    tech: np.ndarray | tuple[float, ...]
+    total: np.ndarray | tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        import numpy as np
-
         n = len(self.grid)
+        # A float grid's parts are tuples, checked with math, min and max.
+        floats = isinstance(self.grid.values, tuple)
+        if floats:
+            finite, least, most = (lambda a: all(map(math.isfinite, a))), min, max
+        else:
+            import numpy as np
+
+            finite, least, most = (lambda a: np.isfinite(a).all()), np.ndarray.min, np.ndarray.max
         for name in ("quantum", "tech"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise DomainError(
-                    f"{name} must have one entry per grid point "
-                    f"({arr.shape} vs {n})"
-                )
+            value = getattr(self, name)
+            arr = tuple(map(float, value)) if floats else np.array(value, dtype=float)
+            shape = (len(arr),) if floats else arr.shape
+            if shape != (n,):
+                raise DomainError(f"{name} must have one entry per grid point ({shape} vs {n})")
             # Tested before any reduction, by isfinite, which sets no
             # floating-point flag: some numpy builds warn on a NaN in min.
-            if not np.isfinite(arr).all():
+            if not finite(arr):
                 raise DomainError(f"{name} must be finite")
-            arr.setflags(write=False)
+            if not floats:
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (self.quantum.min() > 0.0 and self.tech.min() >= 0.0):
+        if not (least(self.quantum) > 0.0 and least(self.tech) >= 0.0):
             raise DomainError("quantum must be positive and tech non-negative")
-        if max(self.quantum.max(), self.tech.max()) < _PART_MAX:
+        big = max(most(self.quantum), most(self.tech)) >= _PART_MAX
+        if floats:
+            # abs(complex) is C's hypot, as numpy's loop is, not math.hypot: a
+            # last-bit difference in the totals would show in an improvement
+            # near 0 dB, 20*log10(off/on) of a ratio within 1e-8 of 1.
+            try:
+                total = tuple([abs(complex(q, t)) for q, t in zip(self.quantum, self.tech)])
+            except OverflowError:  # an infinite total, rejected below
+                total = (math.inf,)
+        elif not big:
             total = np.hypot(self.quantum, self.tech)
         else:
             with np.errstate(over="ignore"):
                 total = np.hypot(self.quantum, self.tech)
-            if not np.isfinite(total).all():
-                raise DomainError("total = hypot(quantum, tech) must be finite")
-        total.setflags(write=False)
+        if big and not finite(total):
+            raise DomainError("total = hypot(quantum, tech) must be finite")
+        if not floats:
+            total.setflags(write=False)
         object.__setattr__(self, "total", total)
 
 
@@ -98,49 +119,59 @@ def total_noise(cfg: IfoConfig, grid: FrequencyGrid, sqz: float = 1.0) -> NoiseS
     """
     require(0.0 < sqz < math.inf, "squeezing factor", sqz, "must be > 0 and finite")
     shot = shot_noise_asd(cfg, grid)
-    return NoiseSpectrum(grid, sqz * shot, technical_noise_asd(cfg, grid))
+    quantum = tuple([sqz * s for s in shot]) if isinstance(shot, tuple) else sqz * shot
+    return NoiseSpectrum(grid, quantum, technical_noise_asd(cfg, grid))
 
 
 def improvement_db(
     off: NoiseSpectrum,
     on: NoiseSpectrum,
     band: tuple[float, float],
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray | tuple[float, ...], float]:
     """Per-frequency improvement in dB plus the band median.
 
     20*log10(off.total / on.total) bin by bin (power dB of the noise
     power ratio), and the median over grid points inside ``band``. Both
-    spectra must live on the same grid.
+    spectra must live on the same grid; on a float grid the improvement
+    is a tuple, taken with ``math.log10``.
     """
-    import numpy as np
-
     if off.grid != on.grid:
         raise DomainError("spectra are on different frequency grids")
     lo, hi = band
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
         raise DomainError(f"band must satisfy 0 < lo < hi, got {band!r}")
-    per_bin = 20.0 * np.log10(off.total / on.total)
     # The grid is strictly increasing, so the bins with lo <= f <= hi are
     # one contiguous slice.
     f = off.grid.values
-    start, stop = f.searchsorted(lo, "left"), f.searchsorted(hi, "right")
+    if isinstance(f, tuple):
+        per_bin = tuple([20.0 * math.log10(a / b) for a, b in zip(off.total, on.total)])
+        start, stop = bisect_left(f, lo), bisect_right(f, hi)
+    else:
+        import numpy as np
+
+        per_bin = 20.0 * np.log10(off.total / on.total)
+        start, stop = f.searchsorted(lo, "left"), f.searchsorted(hi, "right")
     rule = f"band up to band_max_hz = {hi!r} must hold at least one of the {len(f)} grid points"
     require(start < stop, "band_min_hz", lo, rule, "band_max_hz", "grid_points")
     return per_bin, _median(per_bin[start:stop])
 
 
-def _median(values: np.ndarray) -> float:
+def _median(values: np.ndarray | tuple[float, ...]) -> float:
     """``np.median`` of a non-empty finite array, by one partition.
 
     ``np.median`` also checks for NaN, and that check loads ``numpy.ma``
     on its first call in a process. The band bins are finite, as both
     totals are. An even count takes np.median's mean of the middle two.
+    A tuple of floats is sorted: the same middle values.
     """
-    import numpy as np
-
     n = len(values)
     k = n // 2
-    middle = np.partition(values, ((n - 1) // 2, k))
+    if isinstance(values, tuple):
+        middle = sorted(values)
+    else:
+        import numpy as np
+
+        middle = np.partition(values, ((n - 1) // 2, k))
     return float(middle[k] if n % 2 else (middle[k - 1] + middle[k]) / 2.0)
 
 
@@ -201,7 +232,7 @@ class BudgetReport:
     run: RunConfig
     spectrum_off: NoiseSpectrum
     spectrum_on: NoiseSpectrum
-    improvement_db: np.ndarray
+    improvement_db: np.ndarray | tuple[float, ...]
     broadband_improvement_db: float
     shot_limited_improvement_db: float
     squeezing_factor: float
@@ -221,12 +252,12 @@ class BudgetReport:
         return degradation_report(self.run.level, self.run.loss_stages)
 
 
-def build_report(run: RunConfig) -> BudgetReport:
-    """Evaluate the full noise budget for one run configuration."""
+def build_report(run: RunConfig, floats: bool = False) -> BudgetReport:
+    """Evaluate the full noise budget for one run configuration (``floats``: on tuples)."""
     state = state_from_db(run.level, run.injection_angle_rad)
     chain = run.effective_chain()
     sqz = squeezing_factor(state, chain, run.sigma_jitter_rad)
-    grid = run.grid()
+    grid = run.grid(floats)
     off = total_noise(run.ifo, grid, 1.0)
     # Anti-squeezing read out (sqz > 1) can overflow a quantum ASD that
     # RunConfig found finite unsqueezed. The shot ASD rises with f, so
@@ -240,7 +271,8 @@ def build_report(run: RunConfig) -> BudgetReport:
     per_bin, band_median = improvement_db(
         off, on, (run.band_min_hz, run.band_max_hz)
     )
-    per_bin.setflags(write=False)
+    if not floats:
+        per_bin.setflags(write=False)
     anchor_f = run.ifo.anchor_freq_hz
     anchor_total = math.hypot(
         float(shot_noise_asd(run.ifo, anchor_f)),
@@ -283,14 +315,15 @@ def _run_at(run: RunConfig, axis: str, value: float) -> RunConfig:
     return replace(run, sigma_jitter_rad=value)
 
 
-def sweep(run: RunConfig, axis: str, values) -> tuple[SweepRow, ...]:
+def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> tuple[SweepRow, ...]:
     """Evaluate the budget along one parameter axis.
 
     ``axis`` is one of ``eta`` (overall efficiency), ``injected_db``
     (injected squeezing, anti-squeezing floored at the configured
     level), or ``sigma`` (phase jitter RMS). Values are evaluated in
     order; the first one whose RunConfig or budget is invalid aborts the
-    whole sweep with an error naming the axis and its index.
+    whole sweep with an error naming the axis and its index. ``floats``
+    is passed on to ``build_report``.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}'; expected one of {SWEEP_AXES}")
@@ -300,7 +333,7 @@ def sweep(run: RunConfig, axis: str, values) -> tuple[SweepRow, ...]:
     rows = []
     for i, v in enumerate(values):
         try:
-            report = build_report(_run_at(run, axis, v))
+            report = build_report(_run_at(run, axis, v), floats)
         except DomainError as exc:
             raise DomainError(f"sweep {axis} value [{i}]: {exc}", *exc.keys) from None
         rows.append(

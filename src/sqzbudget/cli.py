@@ -38,6 +38,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
+# budget and sweep run on Python floats, without importing numpy, when their
+# work (grid points, times the values of a sweep) is at most this, and on
+# numpy arrays above it: about where the float evaluation costs what
+# importing numpy does. Both write the same text.
+_FLOAT_WORK = 20_000
+
 # Library keys that hold a command-line flag's value.
 _FLAG_OF_KEY = {"n_samples": "--samples", "seed": "--seed", "target_db": "--solve-improvement-db"}
 
@@ -87,7 +93,7 @@ def _load_run(args):
 
 def _cmd_budget(args) -> int:
     run = _load_run(args)
-    report = build_report(run)
+    report = build_report(run, run.grid_points <= _FLOAT_WORK)
     summary = summary_json(report)
     if args.format in ("csv", "all"):
         _write(args.out, "budget.csv", budget_csv(report))
@@ -135,7 +141,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"--values must be a comma list of numbers, got {args.values!r}")
         if not values:
             raise ConfigError(f"--values must hold at least one number, got {args.values!r}")
-        rows = sweep(run, args.axis, values)
+        rows = sweep(run, args.axis, values, run.grid_points * len(values) <= _FLOAT_WORK)
     elif extra is None:
         raise ConfigError("sweep needs --values, --solve-improvement-db, or both")
     text = sweep_csv(args.axis, rows) if rows else sweep_json(args.axis, rows, extra)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from numbers import Integral
 from typing import Callable
 
@@ -88,9 +88,13 @@ class RunConfig:
         rule = f"must lie inside the grid [{lo!r}, {hi!r}]"
         require(lo <= anchor <= hi, "anchor_freq_hz", anchor, rule, "f_min_hz", "f_max_hz")
 
-    def grid(self) -> FrequencyGrid:
-        """The analysis grid, memoised: runs with equal grid fields share one object."""
-        return _grid(self.grid_spacing, self.f_min_hz, self.f_max_hz, self.grid_points)
+    def grid(self, floats: bool = False) -> FrequencyGrid:
+        """The analysis grid, memoised: runs with equal grid fields share one object.
+
+        Its values are a read-only float array, or with ``floats`` the
+        same floats as a tuple, for a run too small to pay for numpy.
+        """
+        return _grid(self.grid_spacing, self.f_min_hz, self.f_max_hz, self.grid_points, floats)
 
     def effective_chain(self) -> tuple[LossElement, ...]:
         """Loss chain the budget actually uses.
@@ -119,17 +123,31 @@ class RunConfig:
 
 
 # One entry: a sweep's runs all ask for the same grid. FrequencyGrid is
-# frozen and its values read-only, so sharing it is safe.
+# frozen and its values read-only, so sharing it is safe. Both kinds hold
+# the same floats: np.geomspace's and np.linspace's steps, with C's log10
+# and pow (np.float_power calls it; np.power's AVX-512 loop differs from
+# it in the last bit of ~5% of values). An array and a float run must let
+# the same grid points into the band; the text written is the contract.
 @lru_cache(maxsize=1)
-def _grid(spacing: str, f_min: float, f_max: float, points: int) -> FrequencyGrid:
-    import numpy as np
-
-    space = np.linspace if spacing == "linear" else np.geomspace
+def _grid(spacing: str, f_min: float, f_max: float, points: int, floats: bool) -> FrequencyGrid:
+    log = spacing == "log"
+    start, stop = (math.log10(f_min), math.log10(f_max)) if log else (f_min, f_max)
+    step = (stop - start) / (points - 1)
     try:
-        return FrequencyGrid(space(f_min, f_max, points))
-    except DomainError as exc:
+        if floats:
+            interior = (i * step + start for i in range(1, points - 1))
+            values = map(partial(pow, 10.0), interior) if log else interior
+            return FrequencyGrid((f_min, *values, f_max))
+        import numpy as np
+
+        interior = np.arange(1, points - 1) * step + start
+        with np.errstate(over="ignore"):  # an infinite value is rejected as not finite
+            interior = np.float_power(10.0, interior) if log else interior
+        return FrequencyGrid(np.concatenate(([f_min], interior, [f_max])))
+    except (DomainError, OverflowError) as exc:
         # A span narrower than its point count repeats a float.
-        rule = f"must fit between f_min_hz ({f_min!r}) and f_max_hz ({f_max!r}): {exc}"
+        reason = "frequency grid must be finite" if isinstance(exc, OverflowError) else exc
+        rule = f"must fit between f_min_hz ({f_min!r}) and f_max_hz ({f_max!r}): {reason}"
         message = f"grid_points = {points!r} violates bound: {rule}"
         raise DomainError(message, "grid_points", "f_min_hz", "f_max_hz") from None
 

@@ -13,10 +13,11 @@ through a measured reference point (anchor_freq_hz, anchor_asd). The
 calibration constant is stored, so scaling the optical power afterwards
 via ``with_power`` follows the ideal 1/sqrt(P) law exactly.
 
-The noise formulas take a Python number or an array. A number is
-evaluated with ``math`` and never imports numpy, so building an
-``IfoConfig`` (and with it the calibration) stays numpy-free; numpy is
-imported only where a grid or array is handled.
+The noise formulas take a Python number, an array or a grid. A number,
+or each float of a float grid, is evaluated with ``math`` and never
+imports numpy, so building an ``IfoConfig`` (and with it the
+calibration) stays numpy-free; numpy is imported only where an array
+is handled.
 """
 
 from __future__ import annotations
@@ -154,58 +155,74 @@ class FrequencyGrid:
     """Strictly increasing, positive analysis frequencies in hertz.
 
     A run's grid comes from ``RunConfig.grid()``, which owns the span,
-    size and spacing; this class only checks the array it is given.
+    size and spacing; this class only checks the values it is given and
+    keeps them as a read-only float array, or a tuple as a tuple of floats.
     """
 
-    values: np.ndarray
+    values: np.ndarray | tuple[float, ...]
 
     def __post_init__(self) -> None:
-        import numpy as np
+        if isinstance(self.values, tuple):
+            arr = tuple(map(float, self.values))
+            checks = (
+                lambda: len(arr) > 0,
+                lambda: all(map(math.isfinite, arr)),
+                lambda: arr[0] > 0.0,
+                lambda: all(map(float.__lt__, arr, arr[1:])),
+            )
+        else:
+            import numpy as np
 
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("frequency grid must be a non-empty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("frequency grid must be finite")
-        if arr[0] <= 0.0:
-            raise DomainError("frequency grid must be positive")
-        if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-            raise DomainError("frequency grid must be strictly increasing")
-        arr = arr.copy()
-        arr.setflags(write=False)
+            arr = np.array(self.values, dtype=float)
+            arr.setflags(write=False)
+            checks = (
+                lambda: arr.ndim == 1 and arr.size > 0,
+                lambda: np.isfinite(arr).all(),
+                lambda: arr[0] > 0.0,
+                lambda: (np.diff(arr) > 0.0).all(),
+            )
+        rules = ("a non-empty 1-D array", "finite", "positive", "strictly increasing")
+        for check, rule in zip(checks, rules):
+            if not check():
+                raise DomainError(f"frequency grid must be {rule}")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
-        return int(self.values.size)
+        return len(self.values)
 
     def __eq__(self, other: object) -> bool:
-        import numpy as np
-
         if not isinstance(other, FrequencyGrid):
             return NotImplemented
         if self.values is other.values:
             return True
+        if isinstance(self.values, tuple) and isinstance(other.values, tuple):
+            return self.values == other.values
+        import numpy as np
+
         return np.array_equal(self.values, other.values)
 
     __hash__ = None  # type: ignore[assignment]
 
 
-def _positive_freq(f):
-    """``f`` checked positive and finite, with the ``sqrt`` and ``maximum`` for it.
+def _per_freq(f, formula):
+    """``formula(f, sqrt, maximum)`` at ``f``, checked positive and finite.
 
-    A ``FrequencyGrid`` gives its ``values`` unchanged, as they were
-    checked when the grid was built. A Python number or 0-d array
-    becomes a float and gets ``math.sqrt`` and ``max``; anything else
-    becomes a float array and gets numpy's; both are checked here.
-    The operators applied to either are the same, so one formula gives
-    the same bits for a float as for that float in an array. Squares are
-    written ``x * x``: that is how numpy squares an array, while a float's
-    ``x ** 2`` goes through ``pow``, which can differ in the last bit.
+    A ``FrequencyGrid``'s values were checked when it was built: an
+    array gets numpy's ``sqrt`` and ``maximum``, and a tuple the float
+    formula bin by bin. A Python number or 0-d array becomes a float and
+    gets ``math.sqrt`` and ``max``; anything else becomes a float array
+    and gets numpy's; both are checked here. The operators applied to
+    either are the same, so one formula gives the same bits for a float
+    as for that float in an array. Squares are written ``x * x``: that
+    is how numpy squares an array, while a float's ``x ** 2`` goes
+    through ``pow``, which can differ in the last bit.
     """
     if isinstance(f, FrequencyGrid):
+        if isinstance(f.values, tuple):
+            return tuple([formula(v, math.sqrt, max) for v in f.values])
         import numpy as np
 
-        return f.values, np.sqrt, np.maximum
+        return formula(f.values, np.sqrt, np.maximum)
     message = "frequency must be positive and finite"
     if not isinstance(f, (int, float)):
         import numpy as np
@@ -214,40 +231,48 @@ def _positive_freq(f):
         if arr.ndim:
             if not np.isfinite(arr).all() or not (arr > 0.0).all():
                 raise DomainError(message)
-            return arr, np.sqrt, np.maximum
+            return formula(arr, np.sqrt, np.maximum)
     f = float(f)
     if not 0.0 < f < math.inf:
         raise DomainError(message)
-    return f, math.sqrt, max
+    return formula(f, math.sqrt, max)
 
 
-def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
+def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | tuple[float, ...] | float:
     """Quantum-noise strain ASD at frequency ``f`` (scalar, array or grid).
 
     Flat below the signal-recycling pole and rising as f above it:
     A * sqrt(1 + (f / sr_pole_hz)^2), with the flat level
     A = shot_scale / (arm_length_eff * sqrt(power_bs)) fixed by the
     anchor calibration. Units: strain / sqrt(Hz). A ``FrequencyGrid``
-    gives the same bits as its ``values`` array, whose checks it skips.
+    gives the same bits as its ``values``, whose checks it skips.
     """
-    f, sqrt, _ = _positive_freq(f)
-    ratio = f / cfg.sr_pole_hz
-    return anchored_flat_level(cfg) * sqrt(1.0 + ratio * ratio)
+    flat, pole = anchored_flat_level(cfg), cfg.sr_pole_hz
+
+    def asd(f, sqrt, _):
+        ratio = f / pole
+        return flat * sqrt(1.0 + ratio * ratio)
+
+    return _per_freq(f, asd)
 
 
-def technical_noise_asd(cfg: IfoConfig, f) -> np.ndarray | float:
+def technical_noise_asd(cfg: IfoConfig, f) -> np.ndarray | tuple[float, ...] | float:
     """Technical-noise strain ASD at frequency ``f`` (scalar, array or grid).
 
     Flat in displacement at tech_displacement_asd up to tech_corner_hz,
     rolling off as (corner/f)^2 in displacement above; referred to strain
     by the effective arm length. Continuous at the corner. A
-    ``FrequencyGrid`` gives the same bits as its ``values`` array, whose
+    ``FrequencyGrid`` gives the same bits as its ``values``, whose
     checks it skips.
     """
-    f, _, maximum = _positive_freq(f)
-    # Clamped before the division: the ratio is <= 1, so no bin overflows.
-    ratio = cfg.tech_corner_hz / maximum(f, cfg.tech_corner_hz)
-    return cfg.tech_displacement_asd / cfg.arm_length_eff * (ratio * ratio)
+    level, corner = cfg.tech_displacement_asd / cfg.arm_length_eff, cfg.tech_corner_hz
+
+    def asd(f, _, maximum):
+        # Clamped before the division: the ratio is <= 1, so no bin overflows.
+        ratio = corner / maximum(f, corner)
+        return level * (ratio * ratio)
+
+    return _per_freq(f, asd)
 
 
 # GEO 600 operating point used by the command line when no config is given.

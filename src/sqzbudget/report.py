@@ -9,9 +9,12 @@ digits with numpy array operations, three 8-byte words per cell, and
 hands any row holding a cell it cannot prove exact (NaN, inf, extreme
 magnitudes, near-ties) back to ``%``. It formats a big table, such as
 the spectra at 1e5 grid points, in chunks on up to two threads, joined
-in order, so the bytes do not depend on the thread count. The ledger has a text column and must not load numpy, so it is
-written with one literal ``%`` row format. Either way the bytes are
-those of ``fmt9``. Nothing here writes timestamps, hostnames, or
+in order, so the bytes do not depend on the thread count. A table
+given as a list of rows (a sweep, or the spectra of a run on a float
+grid, which must not load numpy) is written with one ``%`` row template,
+the one ``format_rows`` applies to the rows it cannot prove exact; so is
+the ledger, which has a text column. Either way the bytes are those of
+``fmt9``. Nothing here writes timestamps, hostnames, or
 absolute paths.
 """
 
@@ -43,10 +46,14 @@ def fmt9(value: float) -> str:
 def _csv(head: Sequence[str], rows) -> str:
     """Header lines, then one comma-joined line per row.
 
-    ``rows`` is a 2-D float array or a sequence of equal-length rows of
+    ``rows`` is a 2-D float array or a list of equal-length rows of
     numbers, each written as ``fmt9`` would write it.
     """
-    return "".join([line + "\n" for line in head] + format_rows(rows, "%.9g", ",", "\n"))
+    head = [line + "\n" for line in head]
+    if isinstance(rows, list):
+        template = ",".join(["%.9g"] * len(rows[0])) + "\n" if rows else ""
+        return "".join(head + [template % tuple(row) for row in rows])
+    return "".join(head + format_rows(rows, "%.9g", ",", "\n"))
 
 
 def budget_csv(report: BudgetReport) -> str:
@@ -56,8 +63,6 @@ def budget_csv(report: BudgetReport) -> str:
     columns are the same totals referred to test-mass motion
     (strain * arm_length_eff, m/sqrt(Hz)).
     """
-    import numpy as np
-
     arm = report.run.ifo.arm_length_eff
     head = [
         "# strain noise budget",
@@ -68,19 +73,12 @@ def budget_csv(report: BudgetReport) -> str:
     ]
     off = report.spectrum_off
     on = report.spectrum_on
-    table = np.column_stack(
-        (
-            off.grid.values,
-            off.total,
-            on.total,
-            report.improvement_db,
-            off.quantum,
-            off.tech,
-            off.total * arm,
-            on.total * arm,
-        )
-    )
-    return _csv(head, table)
+    columns = (off.grid.values, off.total, on.total, report.improvement_db, off.quantum, off.tech)
+    if isinstance(off.total, tuple):  # a float grid's spectra
+        return _csv(head, [(*row, row[1] * arm, row[2] * arm) for row in zip(*columns)])
+    import numpy as np
+
+    return _csv(head, np.column_stack(columns + (off.total * arm, on.total * arm)))
 
 
 def ledger_csv(rows: Sequence[DegradationRow], eta_effective: float | None = None) -> str:
@@ -213,7 +211,9 @@ def spectrum_svg(report: BudgetReport) -> str:
     off, on = report.spectrum_off, report.spectrum_on
     f = off.grid.values
     traces = []
-    if (off.tech > 0.0).all():  # a zero envelope cannot sit on log axes
+    tech = off.tech
+    # A zero envelope cannot sit on log axes.
+    if (min(tech) > 0.0) if isinstance(tech, tuple) else (tech > 0.0).all():
         traces.append(
             Trace("technical envelope", "#909090", f, off.tech, width=1.0, dash="4 3")
         )

@@ -9,7 +9,9 @@ axis labels, and a legend.
 The traces stay arrays from end to end: each is placed on its axis by
 ``np.log10`` over the whole array, the frequency axis's ``%.2f`` text
 is formatted once and shared by every polyline, and the polyline text
-goes into the document in chunks that are joined once.
+goes into the document in chunks that are joined once. Tuples of floats
+(a float grid's traces, and the ticks) take ``math.log10`` and ``%``
+instead, without numpy: the text, not the last bit, is the contract.
 """
 
 from __future__ import annotations
@@ -49,15 +51,20 @@ def _fmt(v: float) -> str:
     return "%.2f" % v
 
 
-def _points(px: np.ndarray, pys: Iterable[np.ndarray]) -> Iterator[list[str]]:
+def _points(px: np.ndarray | list[float], pys: Iterable) -> Iterator[list[str]]:
     """Polyline ``points`` text of each y in ``pys`` over the x in ``px``.
 
     Yields, per y, chunks whose join is the "x,y" pairs at two decimals,
     space-separated. Written by ``_numfmt.format_pairs``, which formats
     the x text once for every y and leaves a pair holding a near-tie,
     NaN, inf, a negative value or one of 1e4 or more to ``%``, so the
-    text is exactly ``"%.2f,%.2f" % (x, y)`` per point.
+    text is exactly ``"%.2f,%.2f" % (x, y)`` per point. That ``%`` writes
+    a list ``px`` (a float grid's) directly.
     """
+    if isinstance(px, list):
+        for py in pys:
+            yield [" ".join(["%.2f,%.2f" % point for point in zip(px, py)])]
+        return
     for chunks in format_pairs(px, pys, ",", " "):
         if chunks:
             chunks[-1] = chunks[-1][:-1]  # no space after the last pair
@@ -86,15 +93,18 @@ class _LogAxis:
         self.px_lo = px_lo
         self.px_hi = px_hi
 
-    def place(self, values: Sequence[float] | np.ndarray) -> np.ndarray:
+    def place(self, values: Sequence[float] | np.ndarray) -> np.ndarray | list[float]:
         """Pixel coordinates of ``values``, one per value.
 
         The logs are taken by ``np.log10`` over the float array, the
         function ``budget.improvement_db`` applies to the same spectra.
         Its last bit can differ from ``math.log10``'s, and between the
         AVX-512 and the baseline loop numpy may dispatch to; the golden
-        figures are checked with both loops.
+        figures are checked with both loops. A tuple takes ``math.log10``.
         """
+        if isinstance(values, tuple):
+            lo, span, px_lo, width = self.lo, self.hi - self.lo, self.px_lo, self.px_hi - self.px_lo
+            return [px_lo + (math.log10(v) - lo) / span * width for v in values]
         import numpy as np
 
         logs = np.log10(np.asarray(values, dtype=float))
@@ -104,14 +114,14 @@ class _LogAxis:
     def decades(self) -> list[int]:
         return list(range(math.ceil(self.lo - 1e-9), math.floor(self.hi + 1e-9) + 1))
 
-    def minor_ticks(self) -> list[float]:
+    def minor_ticks(self) -> tuple[float, ...]:
         ticks = []
         for d in range(math.floor(self.lo), math.ceil(self.hi)):
             for m in range(2, 10):
                 v = math.log10(m) + d
                 if self.lo < v < self.hi:
                     ticks.append(10.0**v)
-        return ticks
+        return tuple(ticks)
 
 
 def render_loglog(traces: Sequence[Trace]) -> str:
@@ -119,32 +129,41 @@ def render_loglog(traces: Sequence[Trace]) -> str:
 
     The traces share one frequency axis, the first trace's ``x``, which
     is placed and formatted once; every other trace must carry the same
-    frequencies.
+    frequencies. If that ``x`` is a tuple, so are they all.
     """
-    import numpy as np
-
     if not traces:
         raise DomainError("nothing to plot")
     margin_l, margin_r, margin_t, margin_b = 86.0, 24.0, 48.0, 58.0
     plot_w = _WIDTH - margin_l - margin_r
     plot_h = _HEIGHT - margin_t - margin_b
 
-    f = np.asarray(traces[0].x, dtype=float)
-    ys = [np.asarray(trace.y, dtype=float) for trace in traces]
+    if isinstance(traces[0].x, tuple):
+        f, ys = traces[0].x, [tuple(trace.y) for trace in traces]
+        same_x = lambda x: x is traces[0].x or tuple(x) == f
+        plottable = lambda a: all(0.0 < v <= _MAX_VALUE for v in a)
+        least, most = min, max
+    else:
+        import numpy as np
+
+        f = np.asarray(traces[0].x, dtype=float)
+        ys = [np.asarray(trace.y, dtype=float) for trace in traces]
+        same_x = lambda x: x is traces[0].x or np.array_equal(x, f)
+        plottable = lambda a: ((a > 0.0) & (a <= _MAX_VALUE)).all()
+        least, most = np.min, np.max
     for trace, y in zip(traces, ys):
-        if trace.x is not traces[0].x and not np.array_equal(trace.x, f):
+        if not same_x(trace.x):
             raise DomainError(f"trace {trace.label!r} is not on the first trace's frequencies")
-        if y.shape != f.shape:
+        if len(y) != len(f):
             raise DomainError(
-                f"trace {trace.label!r} has {y.size} y values for {f.size} frequencies"
+                f"trace {trace.label!r} has {len(y)} y values for {len(f)} frequencies"
             )
-    if not all(((a > 0.0) & (a <= _MAX_VALUE)).all() for a in (f, *ys)):
+    if not all(plottable(a) for a in (f, *ys)):
         raise DomainError(f"log-log traces need positive finite data up to {_MAX_VALUE!r}")
 
-    x_lo = 10.0 ** math.floor(math.log10(f.min()) + 1e-12)
-    x_hi = 10.0 ** math.ceil(math.log10(f.max()) - 1e-12)
-    y_lo = 10.0 ** math.floor(math.log10(min(y.min() for y in ys)) + 1e-12)
-    y_hi = 10.0 ** math.ceil(math.log10(max(y.max() for y in ys)) - 1e-12)
+    x_lo = 10.0 ** math.floor(math.log10(least(f)) + 1e-12)
+    x_hi = 10.0 ** math.ceil(math.log10(most(f)) - 1e-12)
+    y_lo = 10.0 ** math.floor(math.log10(min(least(y) for y in ys)) + 1e-12)
+    y_hi = 10.0 ** math.ceil(math.log10(max(most(y) for y in ys)) - 1e-12)
 
     ax_x = _LogAxis(x_lo, x_hi, margin_l, margin_l + plot_w)
     ax_y = _LogAxis(y_lo, y_hi, margin_t + plot_h, margin_t)  # y grows upward
@@ -162,19 +181,19 @@ def render_loglog(traces: Sequence[Trace]) -> str:
     )
 
     # gridlines: faint minors, solid decade majors with labels
-    for px in ax_x.place(ax_x.minor_ticks()).tolist():
+    for px in ax_x.place(ax_x.minor_ticks()):
         out.append(_line(px, margin_t, px, margin_t + plot_h, "#ececec", "0.6"))
-    for py in ax_y.place(ax_y.minor_ticks()).tolist():
+    for py in ax_y.place(ax_y.minor_ticks()):
         out.append(_line(margin_l, py, margin_l + plot_w, py, "#ececec", "0.6"))
     x_decades = ax_x.decades()
-    for d, px in zip(x_decades, ax_x.place([10.0**d for d in x_decades]).tolist()):
+    for d, px in zip(x_decades, ax_x.place(tuple(10.0**d for d in x_decades))):
         out.append(_line(px, margin_t, px, margin_t + plot_h, "#c8c8c8", "1"))
         out.append(
             '<text x="%s" y="%s" %s font-size="12" text-anchor="middle" fill="#404040">%s</text>\n'
             % (_fmt(px), _fmt(margin_t + plot_h + 20.0), _FONT, _decade_label(d))
         )
     y_decades = ax_y.decades()
-    for d, py in zip(y_decades, ax_y.place([10.0**d for d in y_decades]).tolist()):
+    for d, py in zip(y_decades, ax_y.place(tuple(10.0**d for d in y_decades))):
         out.append(_line(margin_l, py, margin_l + plot_w, py, "#c8c8c8", "1"))
         out.append(
             '<text x="%s" y="%s" %s font-size="12" text-anchor="end" fill="#404040">%s</text>\n'

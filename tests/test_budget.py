@@ -309,8 +309,8 @@ class TestGridMemo:
         run = default_run_config()
         grids = []
 
-        def recording_build_report(run_v):
-            report = build_report(run_v)
+        def recording_build_report(run_v, *args):
+            report = build_report(run_v, *args)
             grids.append(report.spectrum_off.grid)
             return report
 

@@ -11,6 +11,7 @@ import pytest
 from sqzbudget import cli, parse_config
 from sqzbudget.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, main
 from sqzbudget.errors import ConfigError
+from test_paths import FLOAT_WORK
 
 
 def read(path):
@@ -30,9 +31,14 @@ sys.exit(code)
 """
 
 
-def run_fresh(argv, cwd, script=FRESH_MAIN):
-    """Run ``script`` with ``argv`` in a new interpreter that imports from src."""
+def run_fresh(argv, cwd, script=FRESH_MAIN, float_work=None):
+    """Run ``script`` with ``argv`` in a new interpreter that imports from src.
+
+    ``float_work``, if given, replaces ``cli._FLOAT_WORK`` first.
+    """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    if float_work is not None:
+        script = f"from sqzbudget import cli\ncli._FLOAT_WORK = {float_work}\n{script}"
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
         cwd=cwd,
@@ -135,22 +141,29 @@ class TestBudget:
             "injection_angle_rad = 1.5707963\neta_total = 1\n",
             encoding="utf-8",
         )
-        proc = run_fresh(["budget", "--config", str(cfg), "--out", str(tmp_path / "o")], tmp_path)
-        assert proc.returncode == EXIT_CONFIG
-        assert proc.stderr.startswith("error: antisqueeze_db = 300.0 violates bound: ")
-        assert proc.stderr.count("\n") == 1
-        for key in ("antisqueeze_db", "injection_angle_rad", "f_max_hz"):
-            assert key in proc.stderr
-        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
-        assert not (tmp_path / "o").exists()
+        argv = ["budget", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        errors = set()
+        for work in FLOAT_WORK.values():
+            proc = run_fresh(argv, tmp_path, float_work=work)
+            assert proc.returncode == EXIT_CONFIG
+            assert proc.stderr.startswith("error: antisqueeze_db = 300.0 violates bound: ")
+            assert proc.stderr.count("\n") == 1
+            for key in ("antisqueeze_db", "injection_angle_rad", "f_max_hz"):
+                assert key in proc.stderr
+            assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+            assert not (tmp_path / "o").exists()
+            errors.add(proc.stderr)
+        assert len(errors) == 1, "the same message on both paths"
 
-    def test_band_without_grid_points_exits_2_naming_the_keys(self, tmp_path, capsys):
+    def test_band_without_grid_points_exits_2_naming_the_keys(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "sparse.cfg"
         cfg.write_text(SPARSE_GRID, encoding="utf-8")
-        code = main(["budget", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {EMPTY_BAND}\n"
-        assert not (tmp_path / "o").exists()
+        for work in FLOAT_WORK.values():
+            monkeypatch.setattr(cli, "_FLOAT_WORK", work)
+            code = main(["budget", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {EMPTY_BAND}\n"
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "argv, prefix",
@@ -163,11 +176,13 @@ class TestBudget:
     ):
         cfg = tmp_path / "narrow.cfg"
         cfg.write_text(NARROW_SPAN + f"grid_spacing = {spacing}\n", encoding="utf-8")
-        proc = run_fresh(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")], tmp_path)
-        assert proc.returncode == EXIT_CONFIG
-        assert proc.stderr == f"error: {prefix}{NARROW_SPAN_ERROR}\n"
-        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
-        assert not (tmp_path / "o").exists()
+        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        for work in FLOAT_WORK.values():
+            proc = run_fresh(argv, tmp_path, float_work=work)
+            assert proc.returncode == EXIT_CONFIG
+            assert proc.stderr == f"error: {prefix}{NARROW_SPAN_ERROR}\n"
+            assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+            assert not (tmp_path / "o").exists()
 
     def test_out_path_that_is_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -203,15 +218,17 @@ class TestBudget:
         # The shot ASD rises as f / sr_pole_hz and overflows far below f = 1e200.
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("f_max_hz = 1e200\nband_max_hz = 5000\n", encoding="utf-8")
-        proc = run_fresh([command, "--config", str(cfg), "--out", str(tmp_path / "o")], tmp_path)
-        assert proc.returncode == EXIT_CONFIG
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
         message = (
             f"error: {cfg}: line 1: f_max_hz = 1e+200 violates bound: "
             "must keep the unsqueezed shot ASD finite (sr_pole_hz = 400.0)\n"
         )
-        assert proc.stderr == message
-        assert proc.stdout == "\nnumpy loaded: False\n"
-        assert not (tmp_path / "o").exists()
+        for work in FLOAT_WORK.values():
+            proc = run_fresh(argv, tmp_path, float_work=work)
+            assert proc.returncode == EXIT_CONFIG
+            assert proc.stderr == message
+            assert proc.stdout == "\nnumpy loaded: False\n"
+            assert not (tmp_path / "o").exists()
 
 
 class TestLedger:
@@ -254,10 +271,15 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out)
         assert payload["required_eta"]["eta"] == pytest.approx(0.833, abs=1e-3)
 
-    def test_invalid_value_exits_2_with_index(self, tmp_path, capsys):
-        code = main(["sweep", "--axis", "eta", "--values", "0.5,1.3", "--out", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG
-        assert "[1]" in capsys.readouterr().err
+    def test_invalid_value_exits_2_with_index(self, tmp_path, capsys, monkeypatch):
+        argv = ["sweep", "--axis", "eta", "--values", "0.5,1.3", "--out", str(tmp_path / "o")]
+        errors = set()
+        for work in FLOAT_WORK.values():
+            monkeypatch.setattr(cli, "_FLOAT_WORK", work)
+            assert main(argv) == EXIT_CONFIG
+            errors.add(capsys.readouterr().err)
+        assert len(errors) == 1
+        assert errors.pop().startswith("error: sweep eta value [1]: eta_total = 1.3 violates bound")
 
     def test_failing_budget_names_the_value_index(self, tmp_path):
         # Value 0 is valid; value 1 reads out 300 dB of anti-squeezing,
@@ -270,23 +292,26 @@ class TestSweep:
             encoding="utf-8",
         )
         argv = ["sweep", "--config", str(cfg), "--axis", "injected_db", "--values", "0,300"]
-        proc = run_fresh(argv + ["--out", str(tmp_path / "o")], tmp_path)
-        assert proc.returncode == EXIT_CONFIG
-        assert proc.stderr == (
-            "error: sweep injected_db value [1]: antisqueeze_db = 300.0 violates bound: "
-            "must keep the squeezed quantum ASD finite up to f_max_hz "
-            "at this injection_angle_rad\n"
-        )
-        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
-        assert not (tmp_path / "o").exists()
+        for work in FLOAT_WORK.values():
+            proc = run_fresh(argv + ["--out", str(tmp_path / "o")], tmp_path, float_work=work)
+            assert proc.returncode == EXIT_CONFIG
+            assert proc.stderr == (
+                "error: sweep injected_db value [1]: antisqueeze_db = 300.0 violates bound: "
+                "must keep the squeezed quantum ASD finite up to f_max_hz "
+                "at this injection_angle_rad\n"
+            )
+            assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+            assert not (tmp_path / "o").exists()
 
-    def test_band_without_grid_points_names_the_value_index(self, tmp_path, capsys):
+    def test_band_without_grid_points_names_the_value_index(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "sparse.cfg"
         cfg.write_text(SPARSE_GRID, encoding="utf-8")
         argv = ["sweep", "--config", str(cfg), "--values", "0.5,0.6"]
-        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: sweep eta value [0]: {EMPTY_BAND}\n"
-        assert not (tmp_path / "o").exists()
+        for work in FLOAT_WORK.values():
+            monkeypatch.setattr(cli, "_FLOAT_WORK", work)
+            assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: sweep eta value [0]: {EMPTY_BAND}\n"
+            assert not (tmp_path / "o").exists()
 
     def test_non_numeric_value_exits_2(self, tmp_path, capsys):
         argv = ["sweep", "--values", "0.5,abc", "--out", str(tmp_path / "o")]
@@ -453,7 +478,11 @@ class TestPreset:
 
 
 class TestNumpyFreeStart:
-    """Only subcommands that build or read an array import numpy."""
+    """Only subcommands that build or read an array import numpy.
+
+    ``budget`` and ``sweep`` do so only above ``cli._FLOAT_WORK`` grid
+    points (times the values of a sweep); up to it they run on floats.
+    """
 
     def test_package_import(self, tmp_path):
         script = "import sys, sqzbudget; print('numpy' in sys.modules)"
@@ -469,11 +498,17 @@ class TestNumpyFreeStart:
             (["--help"], EXIT_OK, False),
             (["ledger", "--config", "bad.cfg"], EXIT_CONFIG, False),
             (["budget", "--config", "bad.cfg"], EXIT_CONFIG, False),
-            (["budget", "--out", "out"], EXIT_OK, True),
+            (["budget", "--out", "out"], EXIT_OK, False),
+            (["sweep", "--values", ",".join(["0.5"] * 10), "--solve-improvement-db", "6",
+              "--out", "out"], EXIT_OK, False),
+            (["budget", "--config", "at_limit.cfg", "--out", "out"], EXIT_OK, False),
+            (["budget", "--config", "over_limit.cfg", "--out", "out"], EXIT_OK, True),
         ],
     )
     def test_numpy_loads_only_for_arrays(self, argv, code, loaded, tmp_path):
         (tmp_path / "bad.cfg").write_text("eta_total = 1.5\n", encoding="utf-8")
+        for name, points in (("at_limit", cli._FLOAT_WORK), ("over_limit", cli._FLOAT_WORK + 1)):
+            (tmp_path / f"{name}.cfg").write_text(f"grid_points = {points}\n", encoding="utf-8")
         proc = run_fresh(argv, tmp_path)
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.endswith(f"\nnumpy loaded: {loaded}\n")
@@ -487,8 +522,9 @@ class TestNumpyFreeStart:
         ],
     )
     def test_no_masked_arrays_or_executors(self, argv, tmp_path):
-        # The band median is taken without np.median, whose NaN check
-        # loads numpy.ma; the oracle's threads need no executor.
+        # On the array path, the band median is taken without np.median,
+        # whose NaN check loads numpy.ma; the oracle's threads need no
+        # executor.
         script = (
             "import sys\n"
             "from sqzbudget.cli import main\n"
@@ -497,7 +533,7 @@ class TestNumpyFreeStart:
             "print('\\nloaded:', [m for m in unwanted if m in sys.modules])\n"
             "sys.exit(code)\n"
         )
-        proc = run_fresh(argv, tmp_path, script)
+        proc = run_fresh(argv, tmp_path, script, float_work=0)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.endswith("\nloaded: []\n")
 

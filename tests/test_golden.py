@@ -5,6 +5,10 @@ sha256 of its standard output and of every file it wrote. A refactor
 that must not change output bytes has to leave this table untouched.
 A change that alters bytes on purpose reprints the table with
 ``python3 tests/test_golden.py`` and says why in its description.
+
+Every case runs on both evaluation paths, the numpy arrays and the
+Python floats that a small ``budget`` or ``sweep`` runs on, and both
+must give the pinned bytes.
 """
 
 import hashlib
@@ -14,7 +18,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from sqzbudget import cli
 from sqzbudget.cli import EXIT_OK, main
+from test_paths import FLOAT_WORK
 
 # A non-preset run: stage product instead of a measured total, two
 # stages, phase jitter and a coarse linear grid.
@@ -120,6 +126,7 @@ def _sha(data: bytes) -> str:
 
 def run_case(name: str, workdir: str) -> dict:
     """Run one case under ``workdir``; digest of stdout and each file."""
+    os.makedirs(workdir, exist_ok=True)
     paths = {}
     for key, text in (("config", CUSTOM_CONFIG), ("dense", DENSE_CONFIG)):
         paths[key] = os.path.join(workdir, f"{key}.cfg")
@@ -141,8 +148,10 @@ def run_case(name: str, workdir: str) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_bytes_match_golden(name, tmp_path):
-    assert run_case(name, str(tmp_path)) == GOLDEN[name]
+def test_output_bytes_match_golden(name, tmp_path, monkeypatch):
+    for path, work in FLOAT_WORK.items():
+        monkeypatch.setattr(cli, "_FLOAT_WORK", work)
+        assert run_case(name, str(tmp_path / path)) == GOLDEN[name], f"on the {path} path"
 
 
 if __name__ == "__main__":
