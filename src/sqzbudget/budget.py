@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .config import RunConfig
@@ -46,6 +46,7 @@ if TYPE_CHECKING:
 # Parts below this cannot overflow their quadrature sum:
 # hypot(a, b) <= sqrt(2) * max(a, b).
 _PART_MAX = sys.float_info.max / 2.0
+_BAND_RULE = "band up to band_max_hz = {!r} must hold at least one of the {} grid points"
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +55,9 @@ class NoiseSpectrum:
 
     ``quantum`` already includes any squeezing factor; ``total`` is the
     quadrature sum of the two sources, derived at construction. Each
-    part is copied into a read-only float array and must have one entry
+    part is kept as a read-only float array: a part that is one already
+    and owns its data, such as a memoised curve, as it is, without a
+    second copy, and any other part as a copy. Each must have one entry
     per grid point and be finite; ``quantum`` must be positive and
     ``tech`` non-negative, and ``total`` must be finite too. A fault is
     reported as a DomainError, checked in that order.
@@ -66,18 +69,27 @@ class NoiseSpectrum:
     total: np.ndarray | tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        n = len(self.grid)
+        values = self.grid.values
+        n = len(values)
         # A float grid's parts are tuples, checked with math, min and max.
-        floats = isinstance(self.grid.values, tuple)
+        floats = isinstance(values, tuple)
         if floats:
             finite, least, most = (lambda a: all(map(math.isfinite, a))), min, max
         else:
             import numpy as np
 
-            finite, least, most = (lambda a: np.isfinite(a).all()), np.ndarray.min, np.ndarray.max
+            # ndarray's all, min and max are these reductions behind a wrapper.
+            every, least, most = np.logical_and.reduce, np.minimum.reduce, np.maximum.reduce
+            finite = (lambda a: every(np.isfinite(a)))
         for name in ("quantum", "tech"):
             value = getattr(self, name)
-            arr = tuple(map(float, value)) if floats else np.array(value, dtype=float)
+            if floats:
+                arr = tuple(map(float, value))
+            elif _owned_read_only(value):
+                arr = value
+            else:
+                arr = np.array(value, dtype=float)
+                arr.setflags(write=False)
             shape = (len(arr),) if floats else arr.shape
             if shape != (n,):
                 raise DomainError(f"{name} must have one entry per grid point ({shape} vs {n})")
@@ -85,25 +97,24 @@ class NoiseSpectrum:
             # floating-point flag: some numpy builds warn on a NaN in min.
             if not finite(arr):
                 raise DomainError(f"{name} must be finite")
-            if not floats:
-                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (least(self.quantum) > 0.0 and least(self.tech) >= 0.0):
+        quantum, tech = self.quantum, self.tech
+        if not (least(quantum) > 0.0 and least(tech) >= 0.0):
             raise DomainError("quantum must be positive and tech non-negative")
-        big = max(most(self.quantum), most(self.tech)) >= _PART_MAX
+        big = max(most(quantum), most(tech)) >= _PART_MAX
         if floats:
             # abs(complex) is C's hypot, as numpy's loop is, not math.hypot: a
             # last-bit difference in the totals would show in an improvement
             # near 0 dB, 20*log10(off/on) of a ratio within 1e-8 of 1.
             try:
-                total = tuple([abs(complex(q, t)) for q, t in zip(self.quantum, self.tech)])
+                total = tuple([abs(complex(q, t)) for q, t in zip(quantum, tech)])
             except OverflowError:  # an infinite total, rejected below
                 total = (math.inf,)
         elif not big:
-            total = np.hypot(self.quantum, self.tech)
+            total = np.hypot(quantum, tech)
         else:
             with np.errstate(over="ignore"):
-                total = np.hypot(self.quantum, self.tech)
+                total = np.hypot(quantum, tech)
         if big and not finite(total):
             raise DomainError("total = hypot(quantum, tech) must be finite")
         if not floats:
@@ -111,15 +122,47 @@ class NoiseSpectrum:
         object.__setattr__(self, "total", total)
 
 
+def _owned_read_only(value) -> bool:
+    """True for a read-only float64 ndarray that owns its data: safe to share."""
+    import numpy as np
+
+    if type(value) is not np.ndarray or value.dtype != np.float64:
+        return False
+    flags = value.flags
+    return flags.owndata and not flags.writeable
+
+
+# The last unsqueezed spectrum and the grid and curves it was built from,
+# held so that their identities stay theirs: a sweep's values share it.
+_unsqueezed: tuple | None = None
+
+
 def total_noise(cfg: IfoConfig, grid: FrequencyGrid, sqz: float = 1.0) -> NoiseSpectrum:
     """Assemble the noise budget, optionally with squeezing applied.
 
     ``sqz`` multiplies the quantum-noise amplitude: 1 for squeezing off,
-    the squeezing factor otherwise. Sources add in quadrature.
+    the squeezing factor otherwise. Sources add in quadrature. The
+    curves on the grid are memoised and read-only (see ``shot_noise_asd``),
+    and so is the unsqueezed spectrum: ``sqz == 1`` returns the last one
+    while the grid and both curves are the same objects.
     """
+    global _unsqueezed
     require(0.0 < sqz < math.inf, "squeezing factor", sqz, "must be > 0 and finite")
     shot = shot_noise_asd(cfg, grid)
-    quantum = tuple([sqz * s for s in shot]) if isinstance(shot, tuple) else sqz * shot
+    if sqz == 1.0:
+        # 1.0 * x is x, bit for bit: the shot curve is the quantum part.
+        tech = technical_noise_asd(cfg, grid)
+        last = _unsqueezed
+        if last is not None and last[0] is grid and last[1] is shot and last[2] is tech:
+            return last[3]
+        spectrum = NoiseSpectrum(grid, shot, tech)
+        _unsqueezed = (grid, shot, tech, spectrum)
+        return spectrum
+    if isinstance(shot, tuple):
+        quantum = tuple([sqz * s for s in shot])
+    else:
+        quantum = sqz * shot
+        quantum.setflags(write=False)  # a fresh array, kept as it is
     return NoiseSpectrum(grid, quantum, technical_noise_asd(cfg, grid))
 
 
@@ -151,8 +194,8 @@ def improvement_db(
 
         per_bin = 20.0 * np.log10(off.total / on.total)
         start, stop = f.searchsorted(lo, "left"), f.searchsorted(hi, "right")
-    rule = f"band up to band_max_hz = {hi!r} must hold at least one of the {len(f)} grid points"
-    require(start < stop, "band_min_hz", lo, rule, "band_max_hz", "grid_points")
+    require(start < stop, "band_min_hz", lo, lambda: _BAND_RULE.format(hi, len(f)),
+            "band_max_hz", "grid_points")
     return per_bin, _median(per_bin[start:stop])
 
 
@@ -171,7 +214,8 @@ def _median(values: np.ndarray | tuple[float, ...]) -> float:
     else:
         import numpy as np
 
-        middle = np.partition(values, ((n - 1) // 2, k))
+        middle = values.copy()  # np.partition, without its wrapper
+        middle.partition(((n - 1) // 2, k))
     return float(middle[k] if n % 2 else (middle[k - 1] + middle[k]) / 2.0)
 
 
@@ -308,11 +352,14 @@ class SweepRow:
 
 def _run_at(run: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "eta":
-        return replace(run, eta_total=value)
-    if axis == "injected_db":
-        level = SqueezeLevel(value, max(run.level.antisqueeze_db, value))
-        return replace(run, level=level)
-    return replace(run, sigma_jitter_rad=value)
+        change = {"eta_total": value}
+    elif axis == "injected_db":
+        change = {"level": SqueezeLevel(value, max(run.level.antisqueeze_db, value))}
+    else:
+        change = {"sigma_jitter_rad": value}
+    # dataclasses.replace without its walk over the fields: every field is
+    # an init field, so the instance dict holds them all.
+    return type(run)(**{**vars(run), **change})
 
 
 def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> tuple[SweepRow, ...]:

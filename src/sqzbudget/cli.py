@@ -39,10 +39,15 @@ EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
 # budget and sweep run on Python floats, without importing numpy, when their
-# work (grid points, times the values of a sweep) is at most this, and on
-# numpy arrays above it: about where the float evaluation costs what
-# importing numpy does. Both write the same text.
+# work is at most a limit, and on numpy arrays above it: about where the
+# float evaluation costs what importing numpy does. Both write the same text.
+# A budget's work is its grid points, and its limit is this.
 _FLOAT_WORK = 20_000
+# A sweep's work is its grid points times its values, and its limit is this
+# many times _FLOAT_WORK: a sweep evaluates the instrument's curves once, so
+# its float evaluation comes to cost what importing numpy does at about
+# twelve times a budget's work.
+_SWEEP_FLOAT_SCALE = 12
 
 # Library keys that hold a command-line flag's value.
 _FLAG_OF_KEY = {"n_samples": "--samples", "seed": "--seed", "target_db": "--solve-improvement-db"}
@@ -141,7 +146,8 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"--values must be a comma list of numbers, got {args.values!r}")
         if not values:
             raise ConfigError(f"--values must hold at least one number, got {args.values!r}")
-        rows = sweep(run, args.axis, values, run.grid_points * len(values) <= _FLOAT_WORK)
+        floats = run.grid_points * len(values) <= _FLOAT_WORK * _SWEEP_FLOAT_SCALE
+        rows = sweep(run, args.axis, values, floats)
     elif extra is None:
         raise ConfigError("sweep needs --values, --solve-improvement-db, or both")
     text = sweep_csv(args.axis, rows) if rows else sweep_json(args.axis, rows, extra)

@@ -22,6 +22,7 @@ is handled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
@@ -238,6 +239,42 @@ def _per_freq(f, formula):
     return formula(f, math.sqrt, max)
 
 
+def _last_on_grid(formula):
+    """Memoise ``formula(cfg, grid)`` on a ``FrequencyGrid``, one entry.
+
+    The last curve comes back while the grid is the same object and the
+    instrument compares equal, as they do for every value of a sweep. The
+    entry holds its key objects, so a new grid can never reuse a dropped
+    grid's identity; array curves are made read-only before they are
+    shared. Any other ``f`` is evaluated afresh.
+    """
+    last = (None, None, None)  # instrument, grid, curve
+
+    @functools.wraps(formula)
+    def memo(cfg: IfoConfig, f):
+        nonlocal last
+        if not isinstance(f, FrequencyGrid):
+            return formula(cfg, f)
+        key_cfg, key_grid, curve = last
+        if f is key_grid and (cfg is key_cfg or _same_instrument(cfg, key_cfg)):
+            return curve
+        curve = formula(cfg, f)
+        if not isinstance(curve, tuple):
+            curve.setflags(write=False)
+        last = (cfg, f, curve)
+        return curve
+
+    return memo
+
+
+def _same_instrument(a: IfoConfig, b: IfoConfig) -> bool:
+    # Equal configs give the same curves, but for the sign of a zero
+    # tech_displacement_asd, the one field that may be zero.
+    sign = math.copysign
+    return a == b and sign(1.0, a.tech_displacement_asd) == sign(1.0, b.tech_displacement_asd)
+
+
+@_last_on_grid
 def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | tuple[float, ...] | float:
     """Quantum-noise strain ASD at frequency ``f`` (scalar, array or grid).
 
@@ -245,7 +282,9 @@ def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | tuple[float, ...] | float:
     A * sqrt(1 + (f / sr_pole_hz)^2), with the flat level
     A = shot_scale / (arm_length_eff * sqrt(power_bs)) fixed by the
     anchor calibration. Units: strain / sqrt(Hz). A ``FrequencyGrid``
-    gives the same bits as its ``values``, whose checks it skips.
+    gives the same bits as its ``values``, whose checks it skips; its
+    curve is memoised (the last grid and instrument) and, as an array,
+    read-only.
     """
     flat, pole = anchored_flat_level(cfg), cfg.sr_pole_hz
 
@@ -256,6 +295,7 @@ def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | tuple[float, ...] | float:
     return _per_freq(f, asd)
 
 
+@_last_on_grid
 def technical_noise_asd(cfg: IfoConfig, f) -> np.ndarray | tuple[float, ...] | float:
     """Technical-noise strain ASD at frequency ``f`` (scalar, array or grid).
 
@@ -263,7 +303,8 @@ def technical_noise_asd(cfg: IfoConfig, f) -> np.ndarray | tuple[float, ...] | f
     rolling off as (corner/f)^2 in displacement above; referred to strain
     by the effective arm length. Continuous at the corner. A
     ``FrequencyGrid`` gives the same bits as its ``values``, whose
-    checks it skips.
+    checks it skips; its curve is memoised (the last grid and instrument)
+    and, as an array, read-only.
     """
     level, corner = cfg.tech_displacement_asd / cfg.arm_length_eff, cfg.tech_corner_hz
 

@@ -28,7 +28,8 @@ class LossElement:
             raise ConfigError("loss element name must be non-empty")
         # The config text splits on these and strips each name, and
         # ledger.csv splits on ','; such a name would not survive either.
-        if name != name.strip() or name.splitlines() != [name] or any(c in name for c in ",:#"):
+        split = "," in name or ":" in name or "#" in name
+        if name != name.strip() or name.splitlines() != [name] or split:
             raise ConfigError(
                 f"loss element name {name!r} must not hold ',', ':', '#' or a line break, "
                 "nor start or end with whitespace"

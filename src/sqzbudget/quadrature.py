@@ -25,10 +25,13 @@ _HUR_SLACK = 1e-9
 # a float: the variance 10**(dB/10) and the rate gain, the cube of an
 # amplitude ratio of up to 10**(dB/20).
 _MAX_DB = 300.0
+_MAX_DB_RULE = f"must be <= {_MAX_DB!r}"
 
 
 def _reduce_angle(angle: float) -> float:
     # Quadrature variances are pi-periodic in the readout angle.
+    if 0.0 <= angle < math.pi:
+        return float(angle)  # fmod's exact result here
     a = math.fmod(angle, math.pi)
     if a < 0.0:
         a += math.pi
@@ -58,9 +61,9 @@ class SqueezeLevel:
     def __post_init__(self) -> None:
         sqz, anti = self.squeeze_db, self.antisqueeze_db
         require(0.0 <= sqz < math.inf, "squeeze_db", sqz, "must be >= 0 and finite")
-        rule = f"must be finite and >= squeeze_db ({sqz!r})"
-        require(sqz <= anti < math.inf, "antisqueeze_db", anti, rule, "squeeze_db")
-        require(anti <= _MAX_DB, "antisqueeze_db", anti, f"must be <= {_MAX_DB!r}")
+        require(sqz <= anti < math.inf, "antisqueeze_db", anti,
+                lambda: f"must be finite and >= squeeze_db ({sqz!r})", "squeeze_db")
+        require(anti <= _MAX_DB, "antisqueeze_db", anti, _MAX_DB_RULE)
 
 
 @dataclass(frozen=True)
@@ -82,16 +85,16 @@ class QuadratureState:
     angle: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("v_sq", "v_anti", "angle"):
-            value = getattr(self, name)
+        v_sq, v_anti, angle = self.v_sq, self.v_anti, self.angle
+        for name, value in (("v_sq", v_sq), ("v_anti", v_anti), ("angle", angle)):
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
-        v_sq, v_anti, angle = self.v_sq, self.v_anti, self.angle
         if v_sq <= 0.0 or v_anti <= 0.0:
             raise DomainError(
                 f"variances must be positive, got v_sq={v_sq!r}, v_anti={v_anti!r}"
             )
-        if v_sq > v_anti:
+        swap = v_sq > v_anti
+        if swap:
             v_sq, v_anti = v_anti, v_sq
             angle += math.pi / 2.0
         if v_sq * v_anti < 1.0 - _HUR_SLACK:
@@ -99,8 +102,9 @@ class QuadratureState:
                 f"uncertainty product v_sq*v_anti = {v_sq * v_anti!r} violates "
                 f"the Heisenberg bound (>= 1)"
             )
-        object.__setattr__(self, "v_sq", v_sq)
-        object.__setattr__(self, "v_anti", v_anti)
+        if swap:
+            object.__setattr__(self, "v_sq", v_sq)
+            object.__setattr__(self, "v_anti", v_anti)
         object.__setattr__(self, "angle", _reduce_angle(angle))
 
     @property

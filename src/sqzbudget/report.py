@@ -14,13 +14,16 @@ given as a list of rows (a sweep, or the spectra of a run on a float
 grid, which must not load numpy) is written with one ``%`` row template,
 the one ``format_rows`` applies to the rows it cannot prove exact; so is
 the ledger, which has a text column. Either way the bytes are those of
-``fmt9``. Nothing here writes timestamps, hostnames, or
-absolute paths.
+``fmt9``. ``sweep.json``'s rows, when all are finite floats, are written
+from one ``%r`` row template in ``to_json``'s layout, since json's
+indented encoder is pure Python. Nothing here writes timestamps,
+hostnames, or absolute paths.
 """
 
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Sequence
 
 from ._numfmt import format_rows
@@ -173,15 +176,50 @@ def sweep_csv(axis: str, rows: Sequence[SweepRow]) -> str:
     return _csv(head, [tuple(vars(row).values()) for row in rows])
 
 
+# One row of sweep.json as ``to_json`` lays it out: sorted keys, indent 2.
+_SORTED_FIELDS = attrgetter(
+    "broadband_improvement_db", "rate_gain", "shot_limited_improvement_db", "value"
+)
+_SWEEP_ROW = (
+    '    {\n      "broadband_improvement_db": %r,\n      "rate_gain": %r,\n'
+    '      "shot_limited_improvement_db": %r,\n      "value": %r\n    }'
+)
+
+
+def _sweep_rows(rows: Sequence[SweepRow]) -> str | None:
+    """The rows as ``to_json`` writes them, or None unless every cell is a finite float.
+
+    Each cell is rounded by ``%.9g`` and written by ``%r``, as ``to_json``
+    rounds a float and json writes it, but by one template for all rows.
+    """
+    cells = [v for row in rows for v in _SORTED_FIELDS(row)]
+    if set(map(type, cells)) != {float}:
+        return None
+    text = ("%.9g," * len(cells)) % tuple(cells)
+    if "n" in text:  # nan or inf, which json spells its own way
+        return None
+    return ",\n".join([_SWEEP_ROW] * len(rows)) % tuple(map(float, text.split(",")[:-1]))
+
+
 def sweep_json(axis: str, rows: Sequence[SweepRow], extra: dict | None = None) -> str:
+    """``to_json`` of the axis, the rows and ``extra`` (whose keys win).
+
+    ``to_json``'s indented encoder is pure Python, so a row list of finite
+    floats is laid out by ``_sweep_rows`` into the text ``to_json`` writes
+    for the rest; anything else takes ``to_json`` whole. Same bytes.
+    """
+    extra = extra or {}
+    body = _sweep_rows(rows) if rows and "rows" not in extra else None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "axis": axis,
-        "rows": [vars(row) for row in rows],
+        "rows": [vars(row) for row in rows] if body is None else [],
     }
-    if extra:
-        payload.update(extra)
-    return to_json(payload)
+    payload.update(extra)
+    text = to_json(payload)
+    if body is None:
+        return text
+    return text.replace('\n  "rows": []', f'\n  "rows": [\n{body}\n  ]', 1)
 
 
 def oracle_json(verdicts: Sequence[OracleVerdict]) -> str:

@@ -480,8 +480,9 @@ class TestPreset:
 class TestNumpyFreeStart:
     """Only subcommands that build or read an array import numpy.
 
-    ``budget`` and ``sweep`` do so only above ``cli._FLOAT_WORK`` grid
-    points (times the values of a sweep); up to it they run on floats.
+    ``budget`` does so only above ``cli._FLOAT_WORK`` grid points, and
+    ``sweep`` only above ``cli._SWEEP_FLOAT_SCALE`` times that many grid
+    points times values; up to it they run on floats.
     """
 
     def test_package_import(self, tmp_path):
@@ -503,11 +504,21 @@ class TestNumpyFreeStart:
               "--out", "out"], EXIT_OK, False),
             (["budget", "--config", "at_limit.cfg", "--out", "out"], EXIT_OK, False),
             (["budget", "--config", "over_limit.cfg", "--out", "out"], EXIT_OK, True),
+            (["sweep", "--config", "sweep_at_limit.cfg", "--values", ",".join(["0.5"] * 100),
+              "--out", "out"], EXIT_OK, False),
+            (["sweep", "--config", "sweep_over_limit.cfg", "--values", ",".join(["0.5"] * 100),
+              "--out", "out"], EXIT_OK, True),
         ],
     )
     def test_numpy_loads_only_for_arrays(self, argv, code, loaded, tmp_path):
         (tmp_path / "bad.cfg").write_text("eta_total = 1.5\n", encoding="utf-8")
-        for name, points in (("at_limit", cli._FLOAT_WORK), ("over_limit", cli._FLOAT_WORK + 1)):
+        sweep_points = cli._FLOAT_WORK * cli._SWEEP_FLOAT_SCALE // 100  # at 100 values
+        for name, points in (
+            ("at_limit", cli._FLOAT_WORK),
+            ("over_limit", cli._FLOAT_WORK + 1),
+            ("sweep_at_limit", sweep_points),
+            ("sweep_over_limit", sweep_points + 1),
+        ):
             (tmp_path / f"{name}.cfg").write_text(f"grid_points = {points}\n", encoding="utf-8")
         proc = run_fresh(argv, tmp_path)
         assert proc.returncode == code, proc.stderr

@@ -19,6 +19,7 @@ from sqzbudget import (
     parse_config,
 )
 from sqzbudget.cli import EXIT_CONFIG, main
+from sqzbudget.errors import require
 
 
 def test_empty_text_gives_the_preset():
@@ -286,3 +287,18 @@ def test_load_config_error_names_the_file(tmp_path):
     path.write_text("eta_total = 1.3\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="bad.cfg"):
         load_config(str(path))
+
+
+def test_a_rule_given_as_a_function_is_formatted_only_on_a_failure():
+    calls = []
+
+    def rule():
+        calls.append(None)
+        return "must be odd"
+
+    require(True, "n", 2, rule)
+    assert calls == []
+    with pytest.raises(DomainError, match=r"^n = 2 violates bound: must be odd$") as info:
+        require(False, "n", 2, rule, "m")
+    assert calls == [None]
+    assert info.value.keys == ("n", "m")

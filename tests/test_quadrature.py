@@ -64,6 +64,22 @@ class TestConstruction:
         assert 0.0 <= s.angle < math.pi
         assert s.angle == pytest.approx(5.0 - math.pi, rel=1e-12)
 
+    @given(
+        angle=st.one_of(
+            st.floats(-10.0, 10.0),
+            st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2.0, 2.0 * math.pi,
+                             math.nextafter(math.pi, 0.0), math.nextafter(0.0, -1.0)]),
+        ),
+        swap=st.booleans(),
+    )
+    def test_angle_is_fmod_pi_folded_into_the_period(self, angle, swap):
+        v_sq, v_anti = (10.0, 0.1) if swap else (0.1, 10.0)
+        turned = angle + math.pi / 2.0 if swap else angle
+        a = math.fmod(turned, math.pi)
+        a = a + math.pi if a < 0.0 else a
+        expected = 0.0 if a >= math.pi else a
+        assert QuadratureState(v_sq, v_anti, angle).angle.hex() == expected.hex()
+
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(DomainError):
             QuadratureState(0.0, 10.0)
