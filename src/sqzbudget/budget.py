@@ -180,23 +180,29 @@ def improvement_db(
     """
     if off.grid != on.grid:
         raise DomainError("spectra are on different frequency grids")
-    lo, hi = band
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
-        raise DomainError(f"band must satisfy 0 < lo < hi, got {band!r}")
-    # The grid is strictly increasing, so the bins with lo <= f <= hi are
-    # one contiguous slice.
     f = off.grid.values
+    bins = _band_bins(f, band)
     if isinstance(f, tuple):
         per_bin = tuple([20.0 * math.log10(a / b) for a, b in zip(off.total, on.total)])
-        start, stop = bisect_left(f, lo), bisect_right(f, hi)
     else:
         import numpy as np
 
         per_bin = 20.0 * np.log10(off.total / on.total)
+    return per_bin, _median(per_bin[bins])
+
+
+def _band_bins(f: np.ndarray | tuple[float, ...], band: tuple[float, float]) -> slice:
+    """The grid points with lo <= f <= hi: one slice, as the grid is increasing."""
+    lo, hi = band
+    if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
+        raise DomainError(f"band must satisfy 0 < lo < hi, got {band!r}")
+    if isinstance(f, tuple):
+        start, stop = bisect_left(f, lo), bisect_right(f, hi)
+    else:
         start, stop = f.searchsorted(lo, "left"), f.searchsorted(hi, "right")
     require(start < stop, "band_min_hz", lo, lambda: _BAND_RULE.format(hi, len(f)),
             "band_max_hz", "grid_points")
-    return per_bin, _median(per_bin[start:stop])
+    return slice(start, stop)
 
 
 def _median(values: np.ndarray | tuple[float, ...]) -> float:
@@ -204,19 +210,26 @@ def _median(values: np.ndarray | tuple[float, ...]) -> float:
 
     ``np.median`` also checks for NaN, and that check loads ``numpy.ma``
     on its first call in a process. The band bins are finite, as both
-    totals are. An even count takes np.median's mean of the middle two.
-    A tuple of floats is sorted: the same middle values.
+    totals are. A tuple of floats is sorted: the same middle values.
     """
-    n = len(values)
-    k = n // 2
     if isinstance(values, tuple):
+        n = len(values)
+        k = n // 2
         middle = sorted(values)
-    else:
-        import numpy as np
+        return float(middle[k] if n % 2 else (middle[k - 1] + middle[k]) / 2.0)
+    return float(_row_medians(values.copy()))
 
-        middle = values.copy()  # np.partition, without its wrapper
-        middle.partition(((n - 1) // 2, k))
-    return float(middle[k] if n % 2 else (middle[k - 1] + middle[k]) / 2.0)
+
+def _row_medians(block: np.ndarray):
+    """The median along the last axis of ``block``, partitioned in place.
+
+    ndarray.partition is np.partition without its wrapper. An even count
+    takes np.median's mean of the middle two.
+    """
+    n = block.shape[-1]
+    k = n // 2
+    block.partition(((n - 1) // 2, k))
+    return block[..., k] if n % 2 else (block[..., k - 1] + block[..., k]) / 2.0
 
 
 def shot_limited_improvement_db(sqz: float) -> float:
@@ -369,26 +382,88 @@ def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> tuple[Swee
     (injected squeezing, anti-squeezing floored at the configured
     level), or ``sigma`` (phase jitter RMS). Values are evaluated in
     order; the first one whose RunConfig or budget is invalid aborts the
-    whole sweep with an error naming the axis and its index. ``floats``
-    is passed on to ``build_report``.
+    whole sweep with an error naming the axis and its index.
+
+    With ``floats`` each value gets its own ``build_report`` on a float
+    grid. Otherwise the scalars are evaluated value by value and the band
+    medians in blocks of ``_BLOCK_ROWS`` values, on the band's bins only,
+    with the ufuncs ``build_report`` applies in its order: every row has
+    the bits that value's report gives. A value whose squeezed spectrum
+    might fail its checks gets its report, which raises that check's
+    own message.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}'; expected one of {SWEEP_AXES}")
     values = [float(v) for v in values]
     if len(values) == 0:
         raise ConfigError("sweep needs at least one value")
-    rows = []
+    rows, pending = [], []
+    off = bins = None
     for i, v in enumerate(values):
         try:
-            report = build_report(_run_at(run, axis, v), floats)
+            run_v = _run_at(run, axis, v)
+            if floats:
+                rows.append(_row(v, build_report(run_v, True)))
+                continue
+            state = state_from_db(run_v.level, run_v.injection_angle_rad)
+            sqz = squeezing_factor(state, run_v.effective_chain(), run_v.sigma_jitter_rad)
+            if off is None:  # the same instrument and grid for every value
+                grid = run_v.grid()
+                off = total_noise(run_v.ifo, grid, 1.0)
+                least, most = float(off.quantum.min()), float(off.quantum.max())
+                tech_ok = off.tech.max() < _PART_MAX
+            # Rounding is monotone, so sqz * shot lies between sqz * least and
+            # sqz * most in every bin. Positive, and below _PART_MAX with the
+            # technical part, it passes the squeezed NoiseSpectrum's checks and
+            # build_report's peak rule.
+            if not (sqz * least > 0.0 and sqz * most < _PART_MAX and tech_ok):
+                rows.append(_row(v, build_report(run_v)))
+                continue
+            if bins is None:
+                bins = _band_bins(grid.values, (run_v.band_min_hz, run_v.band_max_hz))
+            shot_db = shot_limited_improvement_db(sqz)
+            gain = detection_rate_gain(1.0 / sqz)
         except DomainError as exc:
             raise DomainError(f"sweep {axis} value [{i}]: {exc}", *exc.keys) from None
-        rows.append(
-            SweepRow(
-                value=v,
-                broadband_improvement_db=report.broadband_improvement_db,
-                shot_limited_improvement_db=report.shot_limited_improvement_db,
-                rate_gain=report.rate_gain,
-            )
-        )
+        pending.append((len(rows), v, sqz, shot_db, gain))
+        rows.append(None)
+    if pending:
+        medians = _band_medians(off, bins, [p[2] for p in pending])
+        for (i, v, _, shot_db, gain), median in zip(pending, medians):
+            rows[i] = SweepRow(v, median, shot_db, gain)
     return tuple(rows)
+
+
+def _row(value: float, report: BudgetReport) -> SweepRow:
+    return SweepRow(
+        value=value,
+        broadband_improvement_db=report.broadband_improvement_db,
+        shot_limited_improvement_db=report.shot_limited_improvement_db,
+        rate_gain=report.rate_gain,
+    )
+
+
+# Values per block of band medians: the work array is this many rows of the
+# band's bins, so its size does not grow with the number of values.
+_BLOCK_ROWS = 64
+
+
+def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: list[float]) -> list[float]:
+    """``build_report``'s band median for each squeezing factor, in blocks.
+
+    Row by row this is 20*log10(off.total / hypot(sqz * shot, tech)) on
+    the band's bins, the ufuncs ``build_report`` applies, in its order,
+    then ``_median``'s partition: the same bits as each value's report.
+    """
+    import numpy as np
+
+    shot, tech, total = off.quantum[bins], off.tech[bins], off.total[bins]
+    medians = []
+    for start in range(0, len(sqzs), _BLOCK_ROWS):
+        block = np.multiply.outer(sqzs[start:start + _BLOCK_ROWS], shot)
+        np.hypot(block, tech, out=block)
+        np.divide(total, block, out=block)
+        np.log10(block, out=block)
+        np.multiply(20.0, block, out=block)
+        medians += _row_medians(block).tolist()
+    return medians

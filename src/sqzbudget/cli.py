@@ -46,8 +46,8 @@ _FLOAT_WORK = 20_000
 # A sweep's work is its grid points times its values, and its limit is this
 # many times _FLOAT_WORK: a sweep evaluates the instrument's curves once, so
 # its float evaluation comes to cost what importing numpy does at about
-# twelve times a budget's work.
-_SWEEP_FLOAT_SCALE = 12
+# eleven times a budget's work.
+_SWEEP_FLOAT_SCALE = 11
 
 # Library keys that hold a command-line flag's value.
 _FLAG_OF_KEY = {"n_samples": "--samples", "seed": "--seed", "target_db": "--solve-improvement-db"}

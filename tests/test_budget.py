@@ -307,17 +307,19 @@ class TestGridMemo:
         from sqzbudget import budget
 
         run = default_run_config()
-        grids = []
+        config._grid.cache_clear()
+        spectra = []
+        spectrum_init = budget.NoiseSpectrum.__post_init__
 
-        def recording_build_report(run_v, *args):
-            report = build_report(run_v, *args)
-            grids.append(report.spectrum_off.grid)
-            return report
+        def recording_init(self):
+            spectra.append(self)
+            spectrum_init(self)
 
-        monkeypatch.setattr(budget, "build_report", recording_build_report)
+        monkeypatch.setattr(budget.NoiseSpectrum, "__post_init__", recording_init)
         rows = sweep(run, axis, values)
-        assert len(grids) == len(values)
-        assert all(g is grids[0] for g in grids)
+        # One grid built and one unsqueezed spectrum on it serve every value.
+        assert config._grid.cache_info().misses == 1
+        assert len(spectra) == 1 and spectra[0].grid is run.grid()
         monkeypatch.undo()
 
         for row, value in zip(rows, values):

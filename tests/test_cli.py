@@ -57,6 +57,20 @@ EMPTY_BAND = (
     "must hold at least one of the 2 grid points"
 )
 
+# Finite unsqueezed up to f_max_hz = 1e153 Hz, but 300 dB of
+# anti-squeezing read out at 90 degrees overflows the quantum ASD there.
+ANTISQUEEZE_AT_F_MAX = (
+    "anchor_asd = 1e150\nsr_pole_hz = 1\nanchor_freq_hz = 10\n"
+    "f_max_hz = 1e153\nsqueeze_db = 0\nantisqueeze_db = 0\n"
+    "injection_angle_rad = 1.5707963\neta_total = 1\n"
+)
+# A shot ASD of ~5e-314 at f_min_hz: 250 dB of squeezing read out at
+# eta = 1 scales it to zero there.
+SUBNORMAL_SHOT = (
+    "anchor_asd = 1e-160\nsr_pole_hz = 1e-150\nf_min_hz = 1e-150\n"
+    "tech_displacement_asd = 0\nsqueeze_db = 0\nantisqueeze_db = 300\neta_total = 1\n"
+)
+
 # Passes RunConfig, but 100000 points cannot be told apart in a span of
 # 1e-12 Hz: the grid would repeat a float.
 NARROW_SPAN = (
@@ -285,12 +299,7 @@ class TestSweep:
         # Value 0 is valid; value 1 reads out 300 dB of anti-squeezing,
         # which build_report rejects after the RunConfig was accepted.
         cfg = tmp_path / "anti.cfg"
-        cfg.write_text(
-            "anchor_asd = 1e150\nsr_pole_hz = 1\nanchor_freq_hz = 10\n"
-            "f_max_hz = 1e153\nsqueeze_db = 0\nantisqueeze_db = 0\n"
-            "injection_angle_rad = 1.5707963\neta_total = 1\n",
-            encoding="utf-8",
-        )
+        cfg.write_text(ANTISQUEEZE_AT_F_MAX, encoding="utf-8")
         argv = ["sweep", "--config", str(cfg), "--axis", "injected_db", "--values", "0,300"]
         for work in FLOAT_WORK.values():
             proc = run_fresh(argv + ["--out", str(tmp_path / "o")], tmp_path, float_work=work)
@@ -302,6 +311,37 @@ class TestSweep:
             )
             assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("path", sorted(FLOAT_WORK))
+    @pytest.mark.parametrize(
+        "config_text, axis, values, stderr",
+        [
+            ("", "eta", "0.5,0.6,0.7,1.3",
+             "error: sweep eta value [3]: eta_total = 1.3 violates bound: must lie in (0, 1]\n"),
+            (ANTISQUEEZE_AT_F_MAX, "injected_db", "0,3,300,301",
+             "error: sweep injected_db value [2]: antisqueeze_db = 300.0 violates bound: "
+             "must keep the squeezed quantum ASD finite up to f_max_hz "
+             "at this injection_angle_rad\n"),
+            (SPARSE_GRID, "sigma", "0.1,0.2", f"error: sweep sigma value [0]: {EMPTY_BAND}\n"),
+            (SUBNORMAL_SHOT, "injected_db", "0,3,250,301",
+             "error: sweep injected_db value [2]: "
+             "quantum must be positive and tech non-negative\n"),
+        ],
+        ids=["bad-value", "antisqueeze-overflow", "empty-band", "squeezed-shot-underflow"],
+    )
+    def test_first_failing_value_is_reported_alike_on_both_paths(
+        self, tmp_path, capsys, monkeypatch, path, config_text, axis, values, stderr
+    ):
+        # Each text is the failing check's own message under the sweep's
+        # prefix, the same on both paths.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text, encoding="utf-8")
+        monkeypatch.setattr(cli, "_FLOAT_WORK", FLOAT_WORK[path])
+        argv = ["sweep", "--config", str(cfg), "--axis", axis, "--values", values]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == stderr
+        assert not (tmp_path / "o").exists()
 
     def test_band_without_grid_points_names_the_value_index(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "sparse.cfg"

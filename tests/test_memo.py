@@ -179,11 +179,30 @@ def test_a_sweep_evaluates_each_grid_formula_once(floats, monkeypatch):
     monkeypatch.setattr(ifo, "_per_freq", counting_per_freq)
     monkeypatch.setattr(NoiseSpectrum, "__post_init__", counting_init)
     monkeypatch.setattr(budget, "build_report", recording_build_report)
-    rows = sweep(run, "eta", [0.3, 0.62, 0.9], floats)
-    assert len(rows) == len(reports) == 3
+    values = [0.3, 0.62, 0.9]
+    rows = sweep(run, "eta", values, floats)
     assert len(on_grid) == 2, "the shot and technical curves, once each"
-    assert len(spectra) == 1 + 3, "one unsqueezed spectrum, one squeezed per value"
-    assert all(r.spectrum_off is reports[0].spectrum_off for r in reports)
+    if floats:
+        assert len(rows) == len(reports) == 3
+        assert len(spectra) == 1 + 3, "one unsqueezed spectrum, one squeezed per value"
+        assert all(r.spectrum_off is reports[0].spectrum_off for r in reports)
+        return
+    # On arrays the band medians are one block: no squeezed spectrum is
+    # built, and every row has the bits of a fresh report for its value.
+    assert len(spectra) == 1, "one unsqueezed spectrum"
+    monkeypatch.undo()
+    assert_rows_equal_fresh_reports(run, "eta", values, rows, floats)
+
+
+def assert_rows_equal_fresh_reports(run, axis, values, rows, floats=False):
+    assert len(rows) == len(values)
+    for row, value in zip(rows, values):
+        # A new grid object: every memo misses, so the report is built afresh.
+        config._grid.cache_clear()
+        report = build_report(budget._run_at(run, axis, value), floats)
+        assert row.value == value
+        for name in ("broadband_improvement_db", "shot_limited_improvement_db", "rate_gain"):
+            assert getattr(row, name).hex() == getattr(report, name).hex()
 
 
 AXES = {"eta": (0.05, 1.0), "injected_db": (0.0, 30.0), "sigma": (0.0, 0.5)}
@@ -215,11 +234,74 @@ def sweeps(draw):
 @settings(max_examples=150, deadline=None)
 def test_sweep_rows_equal_fresh_reports(case, floats):
     run, axis, values = case
-    rows = sweep(run, axis, values, floats)
-    for row, value in zip(rows, values):
-        # A new grid object: every memo misses, so the report is built afresh.
-        config._grid.cache_clear()
-        report = build_report(budget._run_at(run, axis, value), floats)
-        assert row.value == value
-        for name in ("broadband_improvement_db", "shot_limited_improvement_db", "rate_gain"):
-            assert getattr(row, name).hex() == getattr(report, name).hex()
+    assert_rows_equal_fresh_reports(run, axis, values, sweep(run, axis, values, floats), floats)
+
+
+B = budget._BLOCK_ROWS
+
+
+@st.composite
+def block_sweeps(draw):
+    """An array sweep of 1, B-1, B, B+1 or 3B+5 values over a band of 1, 2 or more bins."""
+    squeeze = draw(st.floats(0.0, 15.0))
+    stages = draw(st.lists(st.floats(0.3, 1.0), min_size=1, max_size=4))
+    run = RunConfig(
+        level=SqueezeLevel(squeeze, squeeze + draw(st.floats(0.0, 6.0))),
+        injection_angle_rad=draw(st.sampled_from([0.0, 0.1, draw(st.floats(-0.5, 0.5))])),
+        sigma_jitter_rad=draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.3))])),
+        loss_stages=tuple(LossElement(f"stage{k}", eta) for k, eta in enumerate(stages)),
+        eta_total=draw(st.sampled_from([None, draw(st.floats(0.05, 1.0))])),
+        grid_points=draw(st.integers(3, 400)),
+        grid_spacing=draw(st.sampled_from(["log", "linear"])),
+    )
+    f = run.grid().values.tolist()
+    # A band of exactly `bins` grid points: one, an even or an odd count.
+    bins = draw(st.sampled_from([1, 2, 3, draw(st.integers(1, len(f)))]))
+    first = draw(st.integers(0, len(f) - bins))
+    last = f[first + bins - 1] if bins > 1 else math.nextafter(f[first], math.inf)
+    run = RunConfig(**{**vars(run), "band_min_hz": f[first], "band_max_hz": last})
+    axis = draw(st.sampled_from(sorted(AXES)))
+    count = draw(st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5]))
+    values = draw(st.lists(st.floats(*AXES[axis]), min_size=count, max_size=count))
+    return run, axis, values, bins
+
+
+@given(case=block_sweeps())
+@settings(max_examples=60, deadline=None)
+def test_array_rows_equal_fresh_reports_across_block_edges(case):
+    run, axis, values, bins = case
+    band = budget._band_bins(run.grid().values, (run.band_min_hz, run.band_max_hz))
+    assert band.stop - band.start == bins
+    assert_rows_equal_fresh_reports(run, axis, values, sweep(run, axis, values))
+
+
+@pytest.mark.parametrize(
+    "text, axis, values, reported",
+    [
+        # At 120 dB read out at 90 degrees the squeezed quantum ASD passes
+        # _PART_MAX at f_max_hz.
+        ("anchor_asd = 1e150\nsr_pole_hz = 1\nanchor_freq_hz = 10\nf_max_hz = 1e153\n"
+         "squeeze_db = 0\nantisqueeze_db = 0\ninjection_angle_rad = 1.5707963\neta_total = 1\n",
+         "injected_db", [0.0, 120.0, 3.0], [1]),
+        # The technical ASD is 1e308 below its corner, for every value.
+        ("arm_length_eff = 1\ntech_displacement_asd = 1e308\ntech_corner_hz = 1e-90\n"
+         "f_min_hz = 1e-95\nanchor_asd = 1e150\n",
+         "eta", [0.3, 0.62, 0.9], [0, 1, 2]),
+    ],
+    ids=["quantum", "tech"],
+)
+def test_a_value_with_a_part_near_the_float_range_gets_its_report(
+    monkeypatch, text, axis, values, reported
+):
+    # NoiseSpectrum checks the total of a part at or above _PART_MAX: such a
+    # value gets its report, and its row is that report's.
+    run = config.parse_config(text)
+    reports, report = [], build_report
+    monkeypatch.setattr(budget, "build_report", lambda *a: reports.append(report(*a)) or reports[-1])
+    rows = sweep(run, axis, values)
+    assert [r.run for r in reports] == [budget._run_at(run, axis, values[i]) for i in reported]
+    for r in reports:
+        on = r.spectrum_on
+        assert max(on.quantum.max(), on.tech.max()) >= budget._PART_MAX
+    monkeypatch.undo()
+    assert_rows_equal_fresh_reports(run, axis, values, rows)
