@@ -34,6 +34,7 @@ from .ifo import (
     IfoConfig,
     shot_noise_asd,
     squeezing_factor,
+    squeezing_factors,
     technical_noise_asd,
 )
 from .losses import DegradationRow, chain_efficiency, degradation_report
@@ -385,70 +386,77 @@ def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> tuple[Swee
     whole sweep with an error naming the axis and its index.
 
     With ``floats`` each value gets its own ``build_report`` on a float
-    grid. Otherwise the scalars are evaluated value by value and the band
-    medians in blocks of ``_BLOCK_ROWS`` values, on the band's bins only,
-    with the ufuncs ``build_report`` applies in its order: every row has
-    the bits that value's report gives. A value whose squeezed spectrum
-    might fail its checks gets its report, which raises that check's
-    own message.
+    grid. Otherwise the squeezing factors are one array pass
+    (``squeezing_factors``) and the band medians are taken in blocks, on
+    the band's bins only, with the ufuncs ``build_report`` applies in its
+    order: every row has the bits that value's report gives. A value that
+    fails a check of the pass, or whose squeezed spectrum might fail its
+    checks, gets its report, in list order: it raises that check's own
+    message, or gives the row.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}'; expected one of {SWEEP_AXES}")
     values = [float(v) for v in values]
     if len(values) == 0:
         raise ConfigError("sweep needs at least one value")
-    rows, pending = [], []
+    if floats:
+        return tuple(_report_row(run, axis, i, v, True) for i, v in enumerate(values))
+    import numpy as np
+
+    x = np.array(values)
+    sq, anti, sigma = run.level.squeeze_db, run.level.antisqueeze_db, run.sigma_jitter_rad
+    eta = x if axis == "eta" else chain_efficiency(run.effective_chain())
+    if axis == "injected_db":
+        sq, anti = x, np.maximum(anti, x)
+    elif axis == "sigma":
+        sigma = x
+    sqz, ok = squeezing_factors(sq, anti, run.injection_angle_rad, eta, sigma)
     off = bins = None
-    for i, v in enumerate(values):
-        try:
-            run_v = _run_at(run, axis, v)
-            if floats:
-                rows.append(_row(v, build_report(run_v, True)))
-                continue
-            state = state_from_db(run_v.level, run_v.injection_angle_rad)
-            sqz = squeezing_factor(state, run_v.effective_chain(), run_v.sigma_jitter_rad)
-            if off is None:  # the same instrument and grid for every value
-                grid = run_v.grid()
-                off = total_noise(run_v.ifo, grid, 1.0)
-                least, most = float(off.quantum.min()), float(off.quantum.max())
-                tech_ok = off.tech.max() < _PART_MAX
+    if ok.any():
+        try:  # the same instrument, grid and band for every value
+            off = total_noise(run.ifo, run.grid(), 1.0)
+            bins = _band_bins(off.grid.values, (run.band_min_hz, run.band_max_hz))
+        except DomainError:  # raised again by the first value's report
+            ok[:] = False
+        else:
             # Rounding is monotone, so sqz * shot lies between sqz * least and
             # sqz * most in every bin. Positive, and below _PART_MAX with the
             # technical part, it passes the squeezed NoiseSpectrum's checks and
             # build_report's peak rule.
-            if not (sqz * least > 0.0 and sqz * most < _PART_MAX and tech_ok):
-                rows.append(_row(v, build_report(run_v)))
-                continue
-            if bins is None:
-                bins = _band_bins(grid.values, (run_v.band_min_hz, run_v.band_max_hz))
-            shot_db = shot_limited_improvement_db(sqz)
-            gain = detection_rate_gain(1.0 / sqz)
-        except DomainError as exc:
-            raise DomainError(f"sweep {axis} value [{i}]: {exc}", *exc.keys) from None
-        pending.append((len(rows), v, sqz, shot_db, gain))
-        rows.append(None)
-    if pending:
-        medians = _band_medians(off, bins, [p[2] for p in pending])
-        for (i, v, _, shot_db, gain), median in zip(pending, medians):
-            rows[i] = SweepRow(v, median, shot_db, gain)
+            least, most = float(off.quantum.min()), float(off.quantum.max())
+            with np.errstate(all="ignore"):
+                ok &= (sqz * least > 0.0) & (sqz * most < _PART_MAX) & (off.tech.max() < _PART_MAX)
+    rows = [None] * len(values)
+    for i in np.flatnonzero(~ok).tolist():
+        rows[i] = _report_row(run, axis, i, values[i])
+    kept = sqz[ok]
+    if len(kept):
+        medians = _band_medians(off, bins, kept)
+        for i, s, median in zip(np.flatnonzero(ok).tolist(), kept.tolist(), medians):
+            gain = detection_rate_gain(1.0 / s)
+            rows[i] = SweepRow(values[i], median, shot_limited_improvement_db(s), gain)
     return tuple(rows)
 
 
-def _row(value: float, report: BudgetReport) -> SweepRow:
-    return SweepRow(
-        value=value,
-        broadband_improvement_db=report.broadband_improvement_db,
-        shot_limited_improvement_db=report.shot_limited_improvement_db,
-        rate_gain=report.rate_gain,
-    )
+def _report_row(run: RunConfig, axis: str, i: int, value: float, floats: bool = False) -> SweepRow:
+    """The row of value ``i`` from its own report, or its error under the sweep's prefix."""
+    try:
+        report = build_report(_run_at(run, axis, value), floats)
+    except DomainError as exc:
+        raise DomainError(f"sweep {axis} value [{i}]: {exc}", *exc.keys) from None
+    return SweepRow(value, report.broadband_improvement_db, report.shot_limited_improvement_db,
+                    report.rate_gain)
 
 
-# Values per block of band medians: the work array is this many rows of the
-# band's bins, so its size does not grow with the number of values.
+# Values per block of band medians, and cells per block: the work array is
+# at most this many rows of the band's bins and at least one row, so its
+# size grows neither with the number of values nor, beyond one row, with
+# the band.
 _BLOCK_ROWS = 64
+_BLOCK_CELLS = 1 << 15
 
 
-def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: list[float]) -> list[float]:
+def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: np.ndarray) -> list[float]:
     """``build_report``'s band median for each squeezing factor, in blocks.
 
     Row by row this is 20*log10(off.total / hypot(sqz * shot, tech)) on
@@ -458,9 +466,10 @@ def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: list[float]) -> list[fl
     import numpy as np
 
     shot, tech, total = off.quantum[bins], off.tech[bins], off.total[bins]
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // len(shot)))
     medians = []
-    for start in range(0, len(sqzs), _BLOCK_ROWS):
-        block = np.multiply.outer(sqzs[start:start + _BLOCK_ROWS], shot)
+    for start in range(0, len(sqzs), rows):
+        block = np.multiply.outer(sqzs[start:start + rows], shot)
         np.hypot(block, tech, out=block)
         np.divide(total, block, out=block)
         np.log10(block, out=block)

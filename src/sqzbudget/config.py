@@ -62,7 +62,7 @@ class RunConfig:
             check_efficiency("eta_total", eta)
 
         # A rule that quotes another value is a function, formatted only
-        # on a failure: a sweep builds one RunConfig per value.
+        # on a failure: a float sweep builds one RunConfig per value.
         lo, hi = self.f_min_hz, self.f_max_hz
         require(0.0 < lo < math.inf, "f_min_hz", lo, "must be > 0 and finite")
         require(lo < hi < math.inf, "f_max_hz", hi,

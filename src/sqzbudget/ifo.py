@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, require
 from .losses import LossElement, chain_efficiency
-from .quadrature import QuadratureState, apply_loss, dephase, readout_variance
+from .quadrature import _HUR_SLACK, _MAX_DB, QuadratureState, _reduce_angle
+from .quadrature import apply_loss, dephase, readout_variance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -357,3 +358,43 @@ def squeezing_factor(
     eta = chain_efficiency(chain)
     degraded = dephase(apply_loss(injected, eta), sigma_jitter)
     return math.sqrt(readout_variance(degraded))
+
+
+def squeezing_factors(squeeze_db, antisqueeze_db, angle: float, eta, sigma):
+    """``squeezing_factor`` of many injected levels, efficiencies or jitters at once.
+
+    Each of the dB levels, ``eta`` and ``sigma`` is an array or a float,
+    ``angle`` a float. The factors come from ``state_from_db``,
+    ``apply_loss``, ``dephase`` and ``readout_variance`` with their float
+    operations in their order, ``10 ** x`` as C's ``pow`` and ``exp``,
+    ``cos`` and ``sin`` from ``math``, so each has the bits of the scalar
+    route. Returns the factors and a mask, True where that route passes
+    every check: ``SqueezeLevel``'s, the efficiency's and the jitter's
+    bounds, and at each stage a finite, positive state that keeps its
+    axes (no swap) and the Heisenberg bound. Elsewhere a factor means nothing.
+    """
+    import numpy as np
+
+    def kept(v_sq, v_anti):
+        return (0.0 < v_sq) & (v_sq <= v_anti) & (v_anti < math.inf) & (
+            v_sq * v_anti >= 1.0 - _HUR_SLACK)
+
+    c = np.reshape([math.exp(-2.0 * s * s) for s in np.ravel(sigma).tolist()], np.shape(sigma))
+    rel = 0.0 - _reduce_angle(angle)
+    cos, sin = math.cos(rel), math.sin(rel)
+    with np.errstate(all="ignore"):
+        ok = (0.0 <= squeeze_db) & (squeeze_db <= antisqueeze_db) & (antisqueeze_db <= _MAX_DB)
+        ok &= (0.0 < eta) & (eta <= 1.0) & (0.0 <= sigma) & (sigma < math.inf)
+        v_sq = np.float_power(10.0, -squeeze_db / 10.0)
+        v_anti = np.float_power(10.0, antisqueeze_db / 10.0)
+        ok &= kept(v_sq, v_anti)
+        keep = 1.0 - eta
+        v_sq, v_anti = v_sq + keep * (1.0 - v_sq), v_anti + keep * (1.0 - v_anti)
+        ok &= kept(v_sq, v_anti)
+        w_keep, w_mix = (1.0 + c) / 2.0, (1.0 - c) / 2.0
+        same = (sigma == 0.0) | (v_sq == v_anti)
+        v_sq, v_anti = (np.where(same, v_sq, v_sq * w_keep + v_anti * w_mix),
+                        np.where(same, v_anti, v_anti * w_keep + v_sq * w_mix))
+        ok &= kept(v_sq, v_anti)
+        variance = np.where(v_sq == v_anti, v_sq, v_sq * cos * cos + v_anti * sin * sin)
+        return np.sqrt(variance), ok

@@ -31,6 +31,7 @@ from sqzbudget import (
     total_noise,
 )
 from sqzbudget.report import summary_json
+from test_memo import assert_rows_equal_fresh_reports
 
 GRID = FrequencyGrid(np.geomspace(10.0, 10000.0, 400))
 # The summary band of the default run.
@@ -328,6 +329,16 @@ class TestGridMemo:
             assert row.value == value
             for name in ("broadband_improvement_db", "shot_limited_improvement_db", "rate_gain"):
                 assert getattr(row, name).hex() == getattr(report, name).hex()
+
+    # Bands too wide for _BLOCK_ROWS rows of _BLOCK_CELLS: blocks of two rows and of one.
+    @pytest.mark.parametrize("grid_points", [20000, 60000])
+    @pytest.mark.parametrize("axis", ["eta", "injected_db", "sigma"])
+    def test_a_wide_band_takes_smaller_blocks_with_the_same_bits(self, axis, grid_points):
+        run = RunConfig(grid_points=grid_points, band_min_hz=100.0)
+        band = budget._band_bins(run.grid().values, (run.band_min_hz, run.band_max_hz))
+        assert (band.stop - band.start) * budget._BLOCK_ROWS > budget._BLOCK_CELLS
+        values = [0.3, 0.62, 0.9] if axis == "eta" else [0.0, 3.0, 20.0]
+        assert_rows_equal_fresh_reports(run, axis, values, sweep(run, axis, values))
 
 
 class TestRateGain:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sqzbudget import cli, parse_config
+from sqzbudget.budget import sweep
 from sqzbudget.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, main
 from sqzbudget.errors import ConfigError
 from test_paths import FLOAT_WORK
@@ -56,6 +57,11 @@ EMPTY_BAND = (
     "band_min_hz = 1000.0 violates bound: band up to band_max_hz = 5000.0 "
     "must hold at least one of the 2 grid points"
 )
+
+# A band between two of the preset's grid points.
+NO_BAND = "band_min_hz = 1001\nband_max_hz = 1002\n"
+# The fewest values that put a sweep at the preset's 1000 grid points on arrays.
+ARRAY_SWEEP = cli._FLOAT_WORK * cli._SWEEP_FLOAT_SCALE // 1000 + 1
 
 # Finite unsqueezed up to f_max_hz = 1e153 Hz, but 300 dB of
 # anti-squeezing read out at 90 degrees overflows the quantum ASD there.
@@ -341,6 +347,58 @@ class TestSweep:
         argv = ["sweep", "--config", str(cfg), "--axis", axis, "--values", values]
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err == stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config_text, axis, good, changes, stderr",
+        [
+            *(("", "eta", "0.5", {k: bad},
+               f"error: sweep eta value [{k}]: eta_total = {shown} violates bound: "
+               "must lie in (0, 1]\n")
+              for bad, shown in (("nan", "nan"), ("inf", "inf"), ("-0.5", "-0.5"), ("1.5", "1.5"))
+              for k in (1, ARRAY_SWEEP - 1)),
+            *(("", "injected_db", "6", {k: bad},
+               f"error: sweep injected_db value [{k}]: squeeze_db = {shown} violates bound: "
+               "must be >= 0 and finite\n")
+              for bad, shown in (("nan", "nan"), ("inf", "inf"), ("-1", "-1.0"))
+              for k in (1, ARRAY_SWEEP - 1)),
+            *(("", "injected_db", "6", {k: "301"},
+               f"error: sweep injected_db value [{k}]: antisqueeze_db = 301.0 violates bound: "
+               "must be <= 300.0\n")
+              for k in (1, ARRAY_SWEEP - 1)),
+            *(("", "sigma", "0.1", {k: bad},
+               f"error: sweep sigma value [{k}]: sigma_jitter_rad = {shown} violates bound: "
+               "must be >= 0 and finite\n")
+              for bad, shown in (("nan", "nan"), ("inf", "inf"), ("-0.1", "-0.1"), ("-inf", "-inf"))
+              for k in (1, ARRAY_SWEEP - 1)),
+            # The readout at value 100 overflows the quantum ASD: reported
+            # ahead of the bad value after it.
+            (ANTISQUEEZE_AT_F_MAX, "injected_db", "3", {100: "300", 150: "nan"},
+             "error: sweep injected_db value [100]: antisqueeze_db = 300.0 violates bound: "
+             "must keep the squeezed quantum ASD finite up to f_max_hz "
+             "at this injection_angle_rad\n"),
+            # No grid point in the band: a bad value first is reported first,
+            # and otherwise the band at the first value.
+            (NO_BAND, "eta", "0.5", {0: "nan"},
+             "error: sweep eta value [0]: eta_total = nan violates bound: must lie in (0, 1]\n"),
+            (NO_BAND, "eta", "0.5", {10: "nan"},
+             "error: sweep eta value [0]: band_min_hz = 1001.0 violates bound: band up to "
+             "band_max_hz = 1002.0 must hold at least one of the 1000 grid points\n"),
+        ],
+    )
+    def test_first_failing_value_of_a_long_sweep_on_arrays(
+        self, tmp_path, capsys, monkeypatch, config_text, axis, good, changes, stderr
+    ):
+        # Enough values at 1000 grid points to take the array path.
+        values = [changes.get(k, good) for k in range(ARRAY_SWEEP)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text, encoding="utf-8")
+        paths = []
+        monkeypatch.setattr(cli, "sweep", lambda *a: paths.append(a[3]) or sweep(*a))
+        argv = ["sweep", "--config", str(cfg), "--axis", axis, "--values", ",".join(values)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == stderr
+        assert paths == [False]
         assert not (tmp_path / "o").exists()
 
     def test_band_without_grid_points_names_the_value_index(self, tmp_path, capsys, monkeypatch):

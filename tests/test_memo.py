@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from sqzbudget import budget, config, ifo
 from sqzbudget.budget import NoiseSpectrum, build_report, sweep, total_noise
 from sqzbudget.config import RunConfig
+from sqzbudget.errors import DomainError
 from sqzbudget.ifo import FrequencyGrid, IfoConfig, shot_noise_asd, technical_noise_asd
 from sqzbudget.losses import LossElement
 from sqzbudget.quadrature import SqueezeLevel
@@ -205,7 +206,38 @@ def assert_rows_equal_fresh_reports(run, axis, values, rows, floats=False):
             assert getattr(row, name).hex() == getattr(report, name).hex()
 
 
+def assert_sweep_equals_fresh_reports(run, axis, values, floats=False):
+    """The rows of fresh reports, or the error of the first value whose report raises."""
+    try:
+        rows = sweep(run, axis, values, floats)
+    except DomainError as exc:
+        for i, value in enumerate(values):
+            config._grid.cache_clear()
+            try:
+                build_report(budget._run_at(run, axis, value), floats)
+            except DomainError as fresh:
+                assert str(exc) == f"sweep {axis} value [{i}]: {fresh}"
+                assert exc.keys == fresh.keys
+                return
+        raise
+    assert_rows_equal_fresh_reports(run, axis, values, rows, floats)
+
+
 AXES = {"eta": (0.05, 1.0), "injected_db": (0.0, 30.0), "sigma": (0.0, 0.5)}
+OUT_OF_DOMAIN = {
+    "eta": [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.5, math.nextafter(1.0, 2.0)],
+    "injected_db": [math.nan, math.inf, -math.inf, -1.0, 300.5, 1e6],
+    "sigma": [math.nan, math.inf, -math.inf, -0.1],
+}
+
+
+def axis_values(draw, axis, size):
+    """``size`` values in the axis's domain; in a third of the draws some are out of it."""
+    values = draw(st.lists(st.floats(*AXES[axis]), min_size=size, max_size=size))
+    if draw(st.integers(0, 2)) == 0:
+        for _ in range(draw(st.integers(1, 3))):
+            values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(OUT_OF_DOMAIN[axis]))
+    return values
 
 
 @st.composite
@@ -226,15 +258,13 @@ def sweeps(draw):
         band_max_hz=10000.0,
     )
     axis = draw(st.sampled_from(sorted(AXES)))
-    values = draw(st.lists(st.floats(*AXES[axis]), min_size=1, max_size=4))
-    return run, axis, values
+    return run, axis, axis_values(draw, axis, draw(st.integers(1, 4)))
 
 
 @given(case=sweeps(), floats=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_sweep_rows_equal_fresh_reports(case, floats):
-    run, axis, values = case
-    assert_rows_equal_fresh_reports(run, axis, values, sweep(run, axis, values, floats), floats)
+    assert_sweep_equals_fresh_reports(*case, floats)
 
 
 B = budget._BLOCK_ROWS
@@ -262,8 +292,7 @@ def block_sweeps(draw):
     run = RunConfig(**{**vars(run), "band_min_hz": f[first], "band_max_hz": last})
     axis = draw(st.sampled_from(sorted(AXES)))
     count = draw(st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5]))
-    values = draw(st.lists(st.floats(*AXES[axis]), min_size=count, max_size=count))
-    return run, axis, values, bins
+    return run, axis, axis_values(draw, axis, count), bins
 
 
 @given(case=block_sweeps())
@@ -272,7 +301,7 @@ def test_array_rows_equal_fresh_reports_across_block_edges(case):
     run, axis, values, bins = case
     band = budget._band_bins(run.grid().values, (run.band_min_hz, run.band_max_hz))
     assert band.stop - band.start == bins
-    assert_rows_equal_fresh_reports(run, axis, values, sweep(run, axis, values))
+    assert_sweep_equals_fresh_reports(run, axis, values)
 
 
 @pytest.mark.parametrize(
