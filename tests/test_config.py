@@ -18,6 +18,7 @@ from sqzbudget import (
     load_config,
     parse_config,
 )
+from sqzbudget import config
 from sqzbudget.cli import EXIT_CONFIG, main
 from sqzbudget.errors import require
 
@@ -268,6 +269,71 @@ def test_run_config_rejects_bad_field_at_construction(field):
         RunConfig(**overrides)
     assert info.value.keys[0] == field
     assert str(info.value).startswith(f"{field} = {value!r} violates bound")
+
+
+# (config text, line the parser names, the rule's full text, keys): each
+# rule whose text names a bound held in a constant or another field's value.
+RULE_TEXTS = [
+    ("f_max_hz = 5", 1,
+     "f_max_hz = 5.0 violates bound: must be finite and > f_min_hz (10.0)",
+     ("f_max_hz", "f_min_hz")),
+    ("grid_points = 1000001", 1,
+     "grid_points = 1000001 violates bound: must be <= 1000000",
+     ("grid_points",)),
+    ("grid_spacing = cubic", 1,
+     "grid_spacing = 'cubic' violates bound: must be one of ('log', 'linear')",
+     ("grid_spacing",)),
+    ("f_max_hz = 1e200", 1,
+     "f_max_hz = 1e+200 violates bound: must keep the unsqueezed shot ASD finite "
+     "(sr_pole_hz = 400.0)",
+     ("f_max_hz", "sr_pole_hz")),
+    ("band_max_hz = 500", 1,
+     "band_max_hz = 500.0 violates bound: must be finite and > band_min_hz (1000.0)",
+     ("band_max_hz", "band_min_hz")),
+    ("f_max_hz = 100", 1,
+     "band_min_hz = 1000.0 violates bound: must be <= f_max_hz (100.0)",
+     ("band_min_hz", "f_max_hz")),
+    ("band_min_hz = 1\nband_max_hz = 5", 2,
+     "band_max_hz = 5.0 violates bound: must be >= f_min_hz (10.0)",
+     ("band_max_hz", "f_min_hz")),
+    ("f_max_hz = 8000\nanchor_freq_hz = 9000", 2,
+     "anchor_freq_hz = 9000.0 violates bound: must lie inside the grid [10.0, 8000.0]",
+     ("anchor_freq_hz", "f_min_hz", "f_max_hz")),
+    ("squeeze_db = 16", 1,
+     "antisqueeze_db = 15.0 violates bound: must be finite and >= squeeze_db (16.0)",
+     ("antisqueeze_db", "squeeze_db")),
+    ("antisqueeze_db = 301", 1,
+     "antisqueeze_db = 301.0 violates bound: must be <= 300.0",
+     ("antisqueeze_db",)),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, message, keys", RULE_TEXTS, ids=[case[0] for case in RULE_TEXTS]
+)
+def test_rule_text_and_keys_are_exact(text, line, message, keys):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"line {line}: {message}"
+    fields = {}
+    for entry in text.splitlines():
+        key, _, raw = (part.strip() for part in entry.partition("="))
+        fields[key] = config._CASTS[key](key, raw)
+    with pytest.raises(DomainError) as info:
+        config._build(fields)
+    assert str(info.value) == message
+    assert info.value.keys == keys
+
+
+@pytest.mark.parametrize("floats", [False, True])
+def test_empty_band_rule_text_and_keys_are_exact(floats):
+    with pytest.raises(DomainError) as info:
+        build_report(RunConfig(grid_spacing="linear", grid_points=2), floats)
+    assert str(info.value) == (
+        "band_min_hz = 1000.0 violates bound: band up to band_max_hz = 5000.0 "
+        "must hold at least one of the 2 grid points"
+    )
+    assert info.value.keys == ("band_min_hz", "band_max_hz", "grid_points")
 
 
 def test_load_config_reads_files(tmp_path):

@@ -41,6 +41,13 @@ sigma_jitter_rad = 0.02
 grid_points = 20011
 """
 
+# A lossless run: the preset's injected level spans 0 to 300 dB over
+# more values than a float sweep takes at the preset's 1000 grid points,
+# so this sweep runs on arrays. Its rate gain reaches 1e+45, written in
+# exponent form, and its 0 dB row has a shot-limited improvement of -0.
+LOSSLESS_CONFIG = "eta_total = 1\n"
+LONG_DB_VALUES = ",".join(repr(300 * k / 249) for k in range(250))
+
 CASES = {
     "budget": ["budget"],
     "ledger": ["ledger"],
@@ -48,6 +55,9 @@ CASES = {
     "sweep_eta": ["sweep", "--axis", "eta", "--values", "0.3,0.5,0.62,0.8,1.0"],
     "sweep_injected_db": ["sweep", "--axis", "injected_db", "--values", "0,3,6,10,16"],
     "sweep_sigma": ["sweep", "--axis", "sigma", "--values", "0,0.02,0.05,0.1,0.3"],
+    "long_sweep_injected_db": [
+        "sweep", "--config", "{lossless}", "--axis", "injected_db", "--values", LONG_DB_VALUES,
+    ],
     "sweep_solve": ["sweep", "--solve-improvement-db", "6"],
     "oracle": ["oracle", "--seed", "42"],
     "custom_budget": ["budget", "--config", "{config}"],
@@ -91,6 +101,11 @@ GOLDEN = {
         '<stdout>': '0dd62efcc3e5605a9c6bb1486b819ac45dc15a9c8a4474ffc5588f924e3ab4e5',
         'ledger.csv': '0dd62efcc3e5605a9c6bb1486b819ac45dc15a9c8a4474ffc5588f924e3ab4e5',
     },
+    'long_sweep_injected_db': {
+        '<stdout>': '4dbae37318bf4a7d494bd703c9a9351a307442c6378a5c5fb31efd0841a22e7f',
+        'sweep.csv': '4dbae37318bf4a7d494bd703c9a9351a307442c6378a5c5fb31efd0841a22e7f',
+        'sweep.json': 'e338d48f111013966553ac0749af9bf12c3add9fd37688d286ce5a0c126ae511',
+    },
     'oracle': {
         '<stdout>': '73f673f5bd04d5e80aec0e6874da057155cc8de78553dbb056cba3f1575c06d8',
         'oracle.json': '73f673f5bd04d5e80aec0e6874da057155cc8de78553dbb056cba3f1575c06d8',
@@ -128,7 +143,8 @@ def run_case(name: str, workdir: str) -> dict:
     """Run one case under ``workdir``; digest of stdout and each file."""
     os.makedirs(workdir, exist_ok=True)
     paths = {}
-    for key, text in (("config", CUSTOM_CONFIG), ("dense", DENSE_CONFIG)):
+    configs = (("config", CUSTOM_CONFIG), ("dense", DENSE_CONFIG), ("lossless", LOSSLESS_CONFIG))
+    for key, text in configs:
         paths[key] = os.path.join(workdir, f"{key}.cfg")
         with open(paths[key], "w", encoding="utf-8") as fh:
             fh.write(text)
