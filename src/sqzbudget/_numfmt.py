@@ -1,26 +1,25 @@
 """Exact vectorised ``%.9g`` and ``%.2f`` text for 2-D float tables.
 
-``"".join(format_rows(table, spec, sep, end))`` is the same string as
+``"".join(format_rows(table))``, the CSV body of a number table, is the
+same string as
 
-    "".join(sep.join([spec] * cols) % tuple(row) + end for row in table)
+    "".join(",".join(["%.9g"] * cols) % tuple(row) + "\\n" for row in table)
 
-byte for byte, for ``spec`` ``"%.9g"`` or ``"%.2f"``. ``format_pairs``
-writes the two-column ``%.2f`` table of one x array beside each of
-several y arrays, formatting the x cells once. It computes every
-cell's correctly rounded decimal digits and exponent with float array
-operations, writes them into a fixed-width byte frame with a pad byte
-(0) for each absent character, and drops the pad bytes of a whole chunk
-in one pass. A ``%.9g`` cell is three 8-byte words, a ``%.2f`` cell one.
-The drop is a boolean mask over the chunk's bytes: on one thread it
-costs more per byte than ``bytes.translate``, but numpy leaves the GIL
-while it runs, so two chunks' drops overlap. A chunk holds about
-``_CHUNK_CELLS`` cells, which bounds the memory held at once, and is
-made on the calling thread. A big table, of more than 16 such chunks
-(the 1e5-point spectra, not the preset's), is cut into chunks of four
-times that size, made on up to two threads (``_threads.call_all``) and
-joined in order. Which thread makes a chunk cannot change a byte. A
-cell the rules below cannot prove exact is formatted by ``%`` instead,
-together with the rest of its row.
+byte for byte. ``format_pairs`` writes the ``"%.2f,%.2f "`` pairs of one
+x array beside each of several y arrays, the points of an SVG polyline,
+formatting the x cells once. Both compute every cell's correctly
+rounded decimal digits and exponent with float array operations, write
+them into a fixed-width byte frame with a pad byte (0) for each absent
+character, and drop the pad bytes of a whole chunk in one pass. A
+``%.9g`` cell is three 8-byte words, a ``%.2f`` cell one. The drop is a
+boolean mask over the chunk's bytes: on one thread it costs more per
+byte than ``bytes.translate``, but numpy leaves the GIL while it runs,
+so two chunks' drops overlap. A chunk holds about ``_CHUNK_CELLS``
+cells, which bounds the memory held at once. A table's chunks are made
+on up to two threads (``_threads.call_all``; one chunk, or one CPU, on
+the calling thread alone) and joined in order. Which thread makes a
+chunk cannot change a byte. A cell the rules below cannot prove exact
+is formatted by ``%`` instead, together with the rest of its row.
 
 Exactness rule for ``%.9g``, on finite x with 1e-290 <= |x| < 1e290:
 
@@ -159,7 +158,7 @@ def _g9_frame(x, sep, frame):
     first byte of the rest. Word 1: the rest's other eight bytes, the
     eight digits after the first with the point inserted after the
     ``before`` digits that precede it. Word 2: the exponent and the
-    separator ``sep`` (one code per column).
+    separator ``sep`` (one code per column: commas, then a newline).
     """
     import numpy as np
 
@@ -236,30 +235,21 @@ def _f2_frame(x, sep, frame):
     return fast
 
 
-# Frame builder, 8-byte words per cell, and the cached lookup tables
-# it reads (``_lead4`` builds ``_tables`` too), by format.
-_FRAMES = {"%.9g": (_g9_frame, 3, _tables), "%.2f": (_f2_frame, 1, _lead4)}
-
-# Cells formatted per step: 512 rows of the 8-column budget table, so
-# the frame and temporaries for the 1000-point preset stay well below
-# what the interpreter and numpy already hold. A table of more than 16
-# steps is big: it is cut into chunks of 4 steps, made on up to two
-# threads.
-_CHUNK_CELLS = 4096
+# Cells formatted per chunk: 2048 rows of the 8-column budget table, so
+# the 1000-point preset's table is one chunk, and a chunk's frame (384 KB
+# of %.9g words) and temporaries stay well below what the interpreter and
+# numpy already hold.
+_CHUNK_CELLS = 1 << 14
 
 
 def _chunk_texts(text, rows: int, cols: int) -> list[str]:
     """``text(rows)`` for each chunk of a table's rows, in order.
 
-    A big table's chunks are made on up to two threads, and the first
-    chunk's error, in chunk order, is raised; a smaller table's are made
-    here, one after another.
+    The chunks are made on up to two threads, and the first chunk's
+    error, in chunk order, is raised.
     """
-    big = rows * cols > 16 * _CHUNK_CELLS
-    step = max(1, (4 * _CHUNK_CELLS if big else _CHUNK_CELLS) // cols)
+    step = max(1, _CHUNK_CELLS // cols)
     calls = [functools.partial(text, slice(at, at + step)) for at in range(0, rows, step)]
-    if not big:
-        return [call() for call in calls]
     texts = call_all(calls, range(len(calls)))
     for result in texts:
         if isinstance(result, Exception):
@@ -267,39 +257,39 @@ def _chunk_texts(text, rows: int, cols: int) -> list[str]:
     return texts
 
 
-def format_rows(table, spec: str, sep: str, end: str) -> list[str]:
-    """Rows of a number table as ``spec`` text, exactly as ``%`` writes them.
+def format_rows(table) -> list[str]:
+    """Rows of a number table as CSV lines of ``%.9g`` cells, exactly as ``%`` writes them.
 
     ``table`` is a 2-D float array or a sequence of equal-length rows of
-    numbers. Cells are joined by ``sep`` and every row ends with ``end``
-    (one ASCII character each). Returns one string per chunk of rows, and
-    none for an empty table. A row holding a cell the fast path cannot
-    prove exact is written by ``%`` as a whole.
+    numbers. Cells are joined by commas and every row ends with a newline.
+    Returns one string per chunk of rows, and none for an empty table. A
+    row holding a cell the fast path cannot prove exact is written by
+    ``%`` as a whole.
     """
     if not len(table):
         return []
     import numpy as np
 
     table = np.asarray(table, dtype=float)
-    seps = np.array([ord(sep)] * (table.shape[1] - 1) + [ord(end)], dtype=np.int64)
-    template = sep.join([spec] * table.shape[1]) + end
-    build_frame, words, tables = _FRAMES[spec]
-    tables()  # built here, before a worker starts, not by two threads at once
+    cols = table.shape[1]
+    seps = np.array([ord(",")] * (cols - 1) + [ord("\n")], dtype=np.int64)
+    template = ",".join(["%.9g"] * cols) + "\n"
+    _tables()  # built here, before a worker starts, not by two threads at once
 
     def text(rows):
         chunk = table[rows]
-        frame = np.empty(chunk.shape + (words,), dtype="<i8")
-        fast = build_frame(chunk, seps, frame).all(axis=1)
+        frame = np.empty(chunk.shape + (3,), dtype="<i8")
+        fast = _g9_frame(chunk, seps, frame).all(axis=1)
         return _format_chunk(frame, fast, chunk.T, template)
 
     return _chunk_texts(text, *table.shape)
 
 
-def format_pairs(x, ys, sep: str, end: str):
-    """For each array in ``ys``, ``format_rows`` of its ``%.2f`` pairs with ``x``.
+def format_pairs(x, ys):
+    """For each array in ``ys``, the ``"%.2f,%.2f "`` text of its pairs with ``x``.
 
-    Yields, per y, the chunks of ``format_rows(np.column_stack((x, y)),
-    "%.2f", sep, end)``, none for an empty ``x``. The x cells are
+    Yields, per y, chunks whose join is ``"".join("%.2f,%.2f " % pair
+    for pair in zip(x, y))``, none for an empty ``x``. The x cells are
     formatted once for all of ``ys``; each chunk's frame is the x words
     beside that y's words.
     """
@@ -307,17 +297,16 @@ def format_pairs(x, ys, sep: str, end: str):
 
     x = np.asarray(x, dtype=float)
     x_words = np.empty((len(x), 1), dtype="<i8")
-    x_fast = _f2_frame(x, ord(sep), x_words)
+    x_fast = _f2_frame(x, ord(","), x_words)
     y_words = np.empty_like(x_words)
-    template = "%.2f" + sep + "%.2f" + end
     for y in ys:
         y = np.asarray(y, dtype=float)
-        fast = _f2_frame(y, ord(end), y_words)
+        fast = _f2_frame(y, ord(" "), y_words)
         fast &= x_fast
 
         def text(rows):
             frame = np.hstack((x_words[rows], y_words[rows]))
-            return _format_chunk(frame, fast[rows], (x[rows], y[rows]), template)
+            return _format_chunk(frame, fast[rows], (x[rows], y[rows]), "%.2f,%.2f ")
 
         yield _chunk_texts(text, len(x), 2)
 

@@ -1,6 +1,6 @@
 """Make a list of calls on up to two threads, results in call order.
 
-The oracle's samplers and the formatter's chunks of a big table both
+The oracle's samplers and the formatter's chunks of a table both
 run here. Their work is numpy ufuncs, fills and masks, which leave the
 GIL, so two calls overlap; each call owns its buffers, so which thread
 runs a call, and when, cannot change its result.

@@ -47,7 +47,6 @@ if TYPE_CHECKING:
 # Parts below this cannot overflow their quadrature sum:
 # hypot(a, b) <= sqrt(2) * max(a, b).
 _PART_MAX = sys.float_info.max / 2.0
-_BAND_RULE = "band up to band_max_hz = {!r} must hold at least one of the {} grid points"
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,8 +200,8 @@ def _band_bins(f: np.ndarray | tuple[float, ...], band: tuple[float, float]) -> 
         start, stop = bisect_left(f, lo), bisect_right(f, hi)
     else:
         start, stop = f.searchsorted(lo, "left"), f.searchsorted(hi, "right")
-    require(start < stop, "band_min_hz", lo, lambda: _BAND_RULE.format(hi, len(f)),
-            "band_max_hz", "grid_points")
+    rule = f"band up to band_max_hz = {hi!r} must hold at least one of the {len(f)} grid points"
+    require(start < stop, "band_min_hz", lo, rule, "band_max_hz", "grid_points")
     return slice(start, stop)
 
 

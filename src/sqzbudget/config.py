@@ -23,8 +23,6 @@ from .quadrature import SqueezeLevel
 _GRID_SPACINGS = ("log", "linear")
 # Largest frequency grid; rejected before any array is allocated.
 _MAX_GRID_POINTS = 1_000_000
-_POINTS_RULE = f"must be <= {_MAX_GRID_POINTS}"
-_SPACING_RULE = f"must be one of {_GRID_SPACINGS}"
 
 
 @dataclass(frozen=True)
@@ -61,38 +59,34 @@ class RunConfig:
         if eta is not None:
             check_efficiency("eta_total", eta)
 
-        # A rule that quotes another value is a function, formatted only
-        # on a failure: a float sweep builds one RunConfig per value.
         lo, hi = self.f_min_hz, self.f_max_hz
         require(0.0 < lo < math.inf, "f_min_hz", lo, "must be > 0 and finite")
-        require(lo < hi < math.inf, "f_max_hz", hi,
-                lambda: f"must be finite and > f_min_hz ({lo!r})", "f_min_hz")
+        require(lo < hi < math.inf, "f_max_hz", hi, f"must be finite and > f_min_hz ({lo!r})",
+                "f_min_hz")
         points = self.grid_points
         ok = isinstance(points, Integral) and points >= 2
         require(ok, "grid_points", points, "must be an integer >= 2")
-        require(points <= _MAX_GRID_POINTS, "grid_points", points, _POINTS_RULE)
+        require(points <= _MAX_GRID_POINTS, "grid_points", points, f"must be <= {_MAX_GRID_POINTS}")
         spacing = self.grid_spacing
-        require(spacing in _GRID_SPACINGS, "grid_spacing", spacing, _SPACING_RULE)
+        rule = f"must be one of {_GRID_SPACINGS}"
+        require(spacing in _GRID_SPACINGS, "grid_spacing", spacing, rule)
         # The shot ASD rises with f, so it is largest at f_max_hz. On the
         # float path an overflow gives inf, not a warning.
         shot = shot_noise_asd(self.ifo, hi)
         pole = self.ifo.sr_pole_hz
         require(shot < math.inf, "f_max_hz", hi,
-                lambda: f"must keep the unsqueezed shot ASD finite (sr_pole_hz = {pole!r})",
-                "sr_pole_hz")
+                f"must keep the unsqueezed shot ASD finite (sr_pole_hz = {pole!r})", "sr_pole_hz")
 
         # The band must be ordered and overlap the grid; the anchor must lie on it.
         b_lo, b_hi = self.band_min_hz, self.band_max_hz
         require(0.0 < b_lo < math.inf, "band_min_hz", b_lo, "must be > 0 and finite")
         require(b_lo < b_hi < math.inf, "band_max_hz", b_hi,
-                lambda: f"must be finite and > band_min_hz ({b_lo!r})", "band_min_hz")
-        require(b_lo <= hi, "band_min_hz", b_lo, lambda: f"must be <= f_max_hz ({hi!r})",
-                "f_max_hz")
-        require(b_hi >= lo, "band_max_hz", b_hi, lambda: f"must be >= f_min_hz ({lo!r})",
-                "f_min_hz")
+                f"must be finite and > band_min_hz ({b_lo!r})", "band_min_hz")
+        require(b_lo <= hi, "band_min_hz", b_lo, f"must be <= f_max_hz ({hi!r})", "f_max_hz")
+        require(b_hi >= lo, "band_max_hz", b_hi, f"must be >= f_min_hz ({lo!r})", "f_min_hz")
         anchor = self.ifo.anchor_freq_hz
         require(lo <= anchor <= hi, "anchor_freq_hz", anchor,
-                lambda: f"must lie inside the grid [{lo!r}, {hi!r}]", "f_min_hz", "f_max_hz")
+                f"must lie inside the grid [{lo!r}, {hi!r}]", "f_min_hz", "f_max_hz")
 
     def grid(self, floats: bool = False) -> FrequencyGrid:
         """The analysis grid, memoised: runs with equal grid fields share one object.

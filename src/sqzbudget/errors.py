@@ -28,13 +28,10 @@ class ConfigError(ValueError):
 def require(ok: bool, key: str, value, rule, *related: str) -> None:
     """Raise a DomainError naming ``key``, its value and ``rule`` unless ``ok``.
 
-    ``rule`` is the text, or a function returning it, called only on a
-    failure: a text that quotes other values costs a repr per check.
-    ``related`` lists the other fields a cross-field rule compares with.
+    ``rule`` is the text of the bound. ``related`` lists the other fields
+    a cross-field rule compares with.
     """
     if not ok:
-        if callable(rule):
-            rule = rule()
         raise DomainError(f"{key} = {value!r} violates bound: {rule}", key, *related)
 
 

@@ -25,13 +25,10 @@ _HUR_SLACK = 1e-9
 # a float: the variance 10**(dB/10) and the rate gain, the cube of an
 # amplitude ratio of up to 10**(dB/20).
 _MAX_DB = 300.0
-_MAX_DB_RULE = f"must be <= {_MAX_DB!r}"
 
 
 def _reduce_angle(angle: float) -> float:
     # Quadrature variances are pi-periodic in the readout angle.
-    if 0.0 <= angle < math.pi:
-        return float(angle)  # fmod's exact result here
     a = math.fmod(angle, math.pi)
     if a < 0.0:
         a += math.pi
@@ -62,8 +59,8 @@ class SqueezeLevel:
         sqz, anti = self.squeeze_db, self.antisqueeze_db
         require(0.0 <= sqz < math.inf, "squeeze_db", sqz, "must be >= 0 and finite")
         require(sqz <= anti < math.inf, "antisqueeze_db", anti,
-                lambda: f"must be finite and >= squeeze_db ({sqz!r})", "squeeze_db")
-        require(anti <= _MAX_DB, "antisqueeze_db", anti, _MAX_DB_RULE)
+                f"must be finite and >= squeeze_db ({sqz!r})", "squeeze_db")
+        require(anti <= _MAX_DB, "antisqueeze_db", anti, f"must be <= {_MAX_DB!r}")
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ raw values. ``_csv`` writes an all-number table (the spectra, a sweep)
 through ``_numfmt.format_rows``, which computes each cell's ``%.9g``
 digits with numpy array operations, three 8-byte words per cell, and
 hands any row holding a cell it cannot prove exact (NaN, inf, extreme
-magnitudes, near-ties) back to ``%``. It formats a big table, such as
-the spectra at 1e5 grid points, in chunks on up to two threads, joined
-in order, so the bytes do not depend on the thread count. A table
+magnitudes, near-ties) back to ``%``. It formats a table in chunks of
+about 16,384 cells (2048 rows of the spectra), on up to two threads
+when there are two or more, joined in order, so the bytes do not depend
+on the thread count. A table
 given as a list of rows (a sweep, or the spectra of a run on a float
 grid, which must not load numpy) is written with one ``%`` row template,
 the one ``format_rows`` applies to the rows it cannot prove exact; so is
@@ -56,7 +57,7 @@ def _csv(head: Sequence[str], rows) -> str:
     if isinstance(rows, list):
         template = ",".join(["%.9g"] * len(rows[0])) + "\n" if rows else ""
         return "".join(head + [template % tuple(row) for row in rows])
-    return "".join(head + format_rows(rows, "%.9g", ",", "\n"))
+    return "".join(head + format_rows(rows))
 
 
 def budget_csv(report: BudgetReport) -> str:

@@ -65,7 +65,7 @@ def _points(px: np.ndarray | list[float], pys: Iterable) -> Iterator[list[str]]:
         for py in pys:
             yield [" ".join(["%.2f,%.2f" % point for point in zip(px, py)])]
         return
-    for chunks in format_pairs(px, pys, ",", " "):
+    for chunks in format_pairs(px, pys):
         if chunks:
             chunks[-1] = chunks[-1][:-1]  # no space after the last pair
         yield chunks

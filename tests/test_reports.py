@@ -26,7 +26,7 @@ from sqzbudget import (
 from sqzbudget import _numfmt
 from sqzbudget import report as report_module
 from sqzbudget import svgplot
-from sqzbudget._numfmt import format_rows
+from sqzbudget._numfmt import format_pairs, format_rows
 from sqzbudget.cli import EXIT_OK, main
 from sqzbudget.errors import DomainError
 from sqzbudget.losses import DegradationRow
@@ -178,10 +178,15 @@ def test_polyline_points_match_the_per_point_writer(case):
     assert "".join(*_points(placed_x, [placed_y])) == expected
 
 
-def _kernel(values, spec):
-    """``values`` as a one-column table through the vectorised formatter."""
+def _kernel(values):
+    """``values`` as a one-column table through the vectorised ``%.9g`` formatter."""
     table = np.array(values, dtype=float).reshape(-1, 1)
-    return "".join(format_rows(table, spec, ",", "\n"))
+    return "".join(format_rows(table))
+
+
+def _pair_texts(x, ys):
+    """The ``"%.2f,%.2f "`` text of ``x`` beside each y in ``ys``, joined per y."""
+    return ["".join(chunks) for chunks in format_pairs(x, ys)]
 
 
 _POWERS = [float("1e%d" % k) for k in range(-300, 301)]
@@ -222,9 +227,9 @@ _G9_EDGES = [
 
 def test_g9_kernel_matches_percent_on_edge_cases():
     values = _G9_EDGES + [-v for v in _G9_EDGES]
-    assert _kernel(values, "%.9g").splitlines() == ["%.9g" % v for v in values]
+    assert _kernel(values).splitlines() == ["%.9g" % v for v in values]
     pinned = [999999999.5, 9.9999999995e-05, 1e16, -0.0, 0.0, math.nan, -math.inf]
-    assert _kernel(pinned, "%.9g").splitlines() == [
+    assert _kernel(pinned).splitlines() == [
         "1e+09", "0.0001", "1e+16", "-0", "0", "nan", "-inf",
     ]
 
@@ -237,14 +242,15 @@ def test_f2_kernel_matches_percent_on_edge_cases():
         9999.994, 9999.995, 9999.996, 1e4, 99.995, 1e-320,
     ]
     values += [-v for v in values]
-    assert _kernel(values, "%.2f").splitlines() == ["%.2f" % v for v in values]
-    pairs = np.array(values).reshape(-1, 2)
-    assert "".join(format_rows(pairs, "%.2f", ",", " ")) == "".join(
-        "%.2f,%.2f " % (x, y) for x, y in pairs.tolist()
-    )
+    # Every value as an x and as a y, beside itself and beside another.
+    ys = [values, values[::-1]]
+    assert _pair_texts(values, ys) == [
+        "".join("%.2f,%.2f " % pair for pair in zip(values, y)) for y in ys
+    ]
     pinned = [0.125, 0.375, -0.001, -0.0, 999999.995, 1e8, math.nan]
-    assert _kernel(pinned, "%.2f").splitlines() == [
-        "0.12", "0.38", "-0.00", "-0.00", "999999.99", "100000000.00", "nan",
+    assert _pair_texts(pinned, [pinned])[0].split() == [
+        "%s,%s" % (text, text)
+        for text in ["0.12", "0.38", "-0.00", "-0.00", "999999.99", "100000000.00", "nan"]
     ]
 
 
@@ -264,7 +270,7 @@ def test_pairs_share_x_and_match_percent(data, n, curves, chunk_cells):
     saved = _numfmt._CHUNK_CELLS
     _numfmt._CHUNK_CELLS = chunk_cells  # cross chunk boundaries on small curves
     try:
-        texts = ["".join(chunks) for chunks in _numfmt.format_pairs(x, ys, ",", " ")]
+        texts = _pair_texts(x, ys)
     finally:
         _numfmt._CHUNK_CELLS = saved
     assert texts == ["".join("%.2f,%.2f " % pair for pair in zip(x, y)) for y in ys]
@@ -308,21 +314,19 @@ def _with_fallbacks(data, table, spec):
 
 @given(
     data=st.data(),
-    spec=st.sampled_from(["%.9g", "%.2f"]),
     cols=st.integers(1, 4),
     chunk_cells=st.integers(1, 4),
     cpus=st.sampled_from([1, 2]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_big_tables_match_percent_on_one_or_two_threads(data, spec, cols, chunk_cells, cpus, seed):
-    rows = 16 * chunk_cells // cols + data.draw(st.integers(1, 40))  # a big table
+def test_big_tables_match_percent_on_one_or_two_threads(data, cols, chunk_cells, cpus, seed):
+    rows = max(1, chunk_cells // cols) + data.draw(st.integers(1, 40))  # two or more chunks
     rng = np.random.default_rng(seed)
-    sigma = 30.0 if spec == "%.9g" else 3.0
-    table = _with_fallbacks(data, rng.lognormal(0.0, sigma, (rows, cols)), spec)
+    table = _with_fallbacks(data, rng.lognormal(0.0, 30.0, (rows, cols)), "%.9g")
     with _big_tables(chunk_cells, cpus) as started:
-        text = "".join(format_rows(table, spec, ",", "\n"))
-    template = ",".join([spec] * cols) + "\n"
+        text = "".join(format_rows(table))
+    template = ",".join(["%.9g"] * cols) + "\n"
     assert text == "".join(template % tuple(row) for row in table.tolist())
     assert len(started) == cpus - 1
 
@@ -333,15 +337,22 @@ def test_big_tables_match_percent_on_one_or_two_threads(data, spec, cols, chunk_
     chunk_cells=st.integers(1, 4),
     cpus=st.sampled_from([1, 2]),
     seed=st.integers(0, 2**32 - 1),
+    lognormal=st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
-def test_big_figures_match_percent_on_one_or_two_threads(data, curves, chunk_cells, cpus, seed):
-    n = 8 * chunk_cells + data.draw(st.integers(1, 40))  # 2n cells: a big table
+def test_big_figures_match_percent_on_one_or_two_threads(
+    data, curves, chunk_cells, cpus, seed, lognormal
+):
+    n = max(1, chunk_cells // 2) + data.draw(st.integers(1, 40))  # two or more chunks
     rng = np.random.default_rng(seed)
-    pairs = [_with_fallbacks(data, rng.uniform(0.0, 1e4, (n, 2)), "%.2f") for _ in range(curves)]
+
+    def draw_pairs():  # lognormal values span many decades and cross 1e4
+        return rng.lognormal(0.0, 3.0, (n, 2)) if lognormal else rng.uniform(0.0, 1e4, (n, 2))
+
+    pairs = [_with_fallbacks(data, draw_pairs(), "%.2f") for _ in range(curves)]
     x, ys = pairs[0][:, 0], [p[:, 1] for p in pairs]
     with _big_tables(chunk_cells, cpus) as started:
-        texts = ["".join(chunks) for chunks in _numfmt.format_pairs(x, ys, ",", " ")]
+        texts = _pair_texts(x, ys)
     assert texts == ["".join("%.2f,%.2f " % xy for xy in zip(x, y)) for y in ys]
     assert len(started) == (cpus - 1) * curves
 
@@ -365,7 +376,7 @@ def test_a_failing_chunk_of_a_big_table_is_raised_in_chunk_order(monkeypatch):
     class LateChunkError(Exception):
         pass
 
-    build, words, tables = _numfmt._FRAMES["%.9g"]
+    build = _numfmt._g9_frame
 
     def failing(x, sep, frame):
         if x[0, 0] == 2.0:
@@ -375,11 +386,11 @@ def test_a_failing_chunk_of_a_big_table_is_raised_in_chunk_order(monkeypatch):
             raise LateChunkError
         return build(x, sep, frame)
 
-    monkeypatch.setitem(_numfmt._FRAMES, "%.9g", (failing, words, tables))
+    monkeypatch.setattr(_numfmt, "_g9_frame", failing)
     table = np.repeat(np.arange(8.0), 4).reshape(-1, 1)  # chunk k holds the value k
     before = threading.active_count()
     with _big_tables(1, 2) as started, pytest.raises(EarlyChunkError):
-        format_rows(table, "%.9g", ",", "\n")
+        format_rows(table)
     assert started
     assert threading.active_count() == before
 
