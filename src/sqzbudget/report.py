@@ -7,18 +7,17 @@ raw values. ``_csv`` writes an all-number table (the spectra, a sweep)
 through ``_numfmt.format_rows``, which computes each cell's ``%.9g``
 digits with numpy array operations, three 8-byte words per cell, and
 hands any row holding a cell it cannot prove exact (NaN, inf, extreme
-magnitudes, near-ties) back to ``%``. It formats a table in chunks of
-about 16,384 cells (2048 rows of the spectra), on up to two threads
-when there are two or more, joined in order, so the bytes do not depend
-on the thread count. A table
-given as a list of rows (a sweep, or the spectra of a run on a float
-grid, which must not load numpy) is written with one ``%`` row template,
-the one ``format_rows`` applies to the rows it cannot prove exact; so is
-the ledger, which has a text column. Either way the bytes are those of
-``fmt9``. ``sweep.json``'s rows, when all are finite floats, are written
-from one ``%r`` row template in ``to_json``'s layout, since json's
-indented encoder is pure Python. Nothing here writes timestamps,
-hostnames, or absolute paths.
+magnitudes, near-ties) back to ``%``. It cuts a table into chunks of
+about 16,384 cells (2048 rows of the spectra), makes two or more on up
+to two threads and joins them in order, so the bytes do not depend on
+the thread count. A table given as a list of rows (a sweep, or the
+spectra of a run on a float grid, which must not load numpy) is written
+with one ``%`` row template, the one ``format_rows`` applies to the rows
+it cannot prove exact; so is the ledger, which has a text column.
+Either way the bytes are those of ``fmt9``. ``sweep.json``'s rows, when
+all are finite floats, are written from one ``%r`` row template in
+``to_json``'s layout, since json's indented encoder is pure Python.
+Nothing here writes timestamps, hostnames, or absolute paths.
 """
 
 from __future__ import annotations

@@ -387,7 +387,7 @@ def test_a_failing_chunk_of_a_big_table_is_raised_in_chunk_order(monkeypatch):
         return build(x, sep, frame)
 
     monkeypatch.setattr(_numfmt, "_g9_frame", failing)
-    table = np.repeat(np.arange(8.0), 4).reshape(-1, 1)  # chunk k holds the value k
+    table = np.arange(8.0).reshape(-1, 1)  # one row per chunk: chunk k holds the value k
     before = threading.active_count()
     with _big_tables(1, 2) as started, pytest.raises(EarlyChunkError):
         format_rows(table)
