@@ -431,6 +431,35 @@ class TestSweep:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "count, solve",
+        [(5, None), (5, "6"), (250, None), (250, "6"), (0, "6")],
+        ids=["floats", "floats-solve", "arrays", "arrays-solve", "solve-only"],
+    )
+    def test_each_format_writes_the_bytes_of_all(self, count, solve, tmp_path, capsys):
+        # 250 values put the preset's 1000 grid points on arrays.
+        assert (count > ARRAY_SWEEP) == (count == 250)
+        argv = ["sweep", "--axis", "eta"]
+        if count:
+            argv += ["--values", ",".join(str(0.3 + 0.002 * k) for k in range(count))]
+        if solve is not None:
+            argv += ["--solve-improvement-db", solve]
+
+        def run(fmt):
+            out = tmp_path / fmt
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == EXIT_OK
+            files = {name: read(out / name) for name in os.listdir(out)}
+            return files, capsys.readouterr().out.encode()
+
+        everything, stdout = run("all")
+        assert sorted(everything) == (["sweep.csv"] if count else []) + ["sweep.json"]
+        assert stdout == everything["sweep.csv" if count else "sweep.json"]
+        formats = {"json": ["sweep.json"]}
+        if solve is None:  # --format csv refuses --solve-improvement-db
+            formats["csv"] = ["sweep.csv"]
+        for fmt, names in formats.items():
+            assert run(fmt) == ({name: everything[name] for name in names}, stdout)
+
     def test_needs_values_or_solve(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 

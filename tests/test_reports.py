@@ -129,6 +129,19 @@ def test_ledger_csv_matches_the_per_cell_writer(rows):
     assert ledger_csv(rows) == expected
 
 
+_SWEEP_HEAD = [
+    "# sweep axis: sigma",
+    "value,broadband_improvement_db,shot_limited_improvement_db,rate_gain",
+]
+
+
+@given(st.lists(st.builds(SweepRow, *[_NUMBER] * 4), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_sweep_csv_matches_the_per_cell_writer(rows):
+    expected = _csv_per_cell(_SWEEP_HEAD, [tuple(vars(row).values()) for row in rows])
+    assert sweep_csv("sigma", rows) == expected
+
+
 def test_csv_without_rows_is_its_header():
     assert sweep_csv("eta", ()) == (
         "# sweep axis: eta\n"
@@ -521,11 +534,29 @@ _JSON_FLOATS = st.one_of(
     st.sampled_from(
         [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-5, 1e16]
     ),
+    # Where a cell's %.9g text and repr part ways: exponents e+09 to e+15,
+    # the normal/subnormal boundary, integral values and the signed zero.
+    st.sampled_from(
+        [
+            1e9,
+            123456789.0,
+            999999999.5,
+            1e15,
+            1.5e15,
+            9.999999995e15,
+            1e16,
+            2.2250738585072014e-308,
+            2.225073858507201e-308,
+            1e-310,
+            12345.0,
+            -0.0,
+        ]
+    ),
 )
 
 
 @given(
-    rows=st.lists(st.builds(SweepRow, *[_JSON_FLOATS] * 4), max_size=12),
+    rows=st.lists(st.builds(SweepRow, *[_JSON_FLOATS] * 4), max_size=40),
     axis=st.sampled_from(["eta", "injected_db", "sigma"]),
     required=st.one_of(
         st.none(),
