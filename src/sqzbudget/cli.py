@@ -154,7 +154,7 @@ def _cmd_sweep(args) -> int:
     if rows and args.format in ("csv", "all"):
         _write(args.out, "sweep.csv", text)
     if args.format in ("json", "all"):
-        _write(args.out, "sweep.json", sweep_json(args.axis, rows, extra) if rows else text)
+        _write(args.out, "sweep.json", sweep_json(args.axis, rows, extra, text) if rows else text)
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -2,28 +2,28 @@
 
 All numbers are written with 9 significant digits and all JSON keys are
 sorted, so identical runs produce byte-identical files. ``to_json``,
-``_csv`` and ``ledger_csv`` apply that rule, so the emitters hand them
-raw values. ``_csv`` writes an all-number table (the spectra, a sweep)
+``_csv``, ``ledger_csv`` and ``sweep_csv`` apply that rule, so the
+emitters hand them raw values. ``_csv`` writes the spectra's array
 through ``_numfmt.format_rows``, which computes each cell's ``%.9g``
 digits with numpy array operations, three 8-byte words per cell, and
 hands any row holding a cell it cannot prove exact (NaN, inf, extreme
 magnitudes, near-ties) back to ``%``. It cuts a table into chunks of
 about 16,384 cells (2048 rows of the spectra), makes two or more on up
 to two threads and joins them in order, so the bytes do not depend on
-the thread count. A table given as a list of rows (a sweep, or the
-spectra of a run on a float grid, which must not load numpy) is written
-with one ``%`` row template, the one ``format_rows`` applies to the rows
-it cannot prove exact; so is the ledger, which has a text column.
-Either way the bytes are those of ``fmt9``. ``sweep.json``'s rows, when
-all are finite floats, are written from one ``%r`` row template in
-``to_json``'s layout, since json's indented encoder is pure Python.
+the thread count. The spectra of a run on a float grid, which must not
+load numpy, are a list of rows written with one ``%`` row template, the
+one ``format_rows`` applies to the rows it cannot prove exact; so is
+the ledger, which has a text column. A sweep's table is one ``%``
+template over all its cells, and ``sweep.json``'s rows are laid out
+from that text, so each cell is rounded once. Either way the bytes are
+those of ``fmt9``.
 Nothing here writes timestamps, hostnames, or absolute paths.
 """
 
 from __future__ import annotations
 
 import json
-from operator import attrgetter
+import re
 from typing import Sequence
 
 from ._numfmt import format_rows
@@ -168,48 +168,47 @@ def summary_json(report: BudgetReport) -> str:
 
 
 def sweep_csv(axis: str, rows: Sequence[SweepRow]) -> str:
-    head = [
-        f"# sweep axis: {axis}",
-        "value,broadband_improvement_db,shot_limited_improvement_db,rate_gain",
-    ]
     # SweepRow declares its fields in column order.
-    return _csv(head, [tuple(vars(row).values()) for row in rows])
+    cells = tuple([v for row in rows for v in vars(row).values()])
+    head = "value,broadband_improvement_db,shot_limited_improvement_db,rate_gain\n"
+    return f"# sweep axis: {axis}\n{head}" + ("%.9g,%.9g,%.9g,%.9g\n" * len(rows)) % cells
 
 
 # One row of sweep.json as ``to_json`` lays it out: sorted keys, indent 2.
-_SORTED_FIELDS = attrgetter(
-    "broadband_improvement_db", "rate_gain", "shot_limited_improvement_db", "value"
-)
 _SWEEP_ROW = (
-    '    {\n      "broadband_improvement_db": %r,\n      "rate_gain": %r,\n'
-    '      "shot_limited_improvement_db": %r,\n      "value": %r\n    }'
+    '    {\n      "broadband_improvement_db": %s,\n      "rate_gain": %s,\n'
+    '      "shot_limited_improvement_db": %s,\n      "value": %s\n    }'
 )
+# %.9g cells that json's repr writes otherwise: e+09 to e+15 in fixed
+# notation, and the subnormals (in e-3xx) with fewer digits.
+_NOT_REPR = re.compile(r"e\+(?:09|1[0-5])(?!\d)|e-3\d\d")
 
 
-def _sweep_rows(rows: Sequence[SweepRow]) -> str | None:
-    """The rows as ``to_json`` writes them, or None unless every cell is a finite float.
-
-    Each cell is rounded by ``%.9g`` and written by ``%r``, as ``to_json``
-    rounds a float and json writes it, but by one template for all rows.
-    """
-    cells = [v for row in rows for v in _SORTED_FIELDS(row)]
-    if set(map(type, cells)) != {float}:
-        return None
-    text = ("%.9g," * len(cells)) % tuple(cells)
-    if "n" in text:  # nan or inf, which json spells its own way
-        return None
-    return ",\n".join([_SWEEP_ROW] * len(rows)) % tuple(map(float, text.split(",")[:-1]))
-
-
-def sweep_json(axis: str, rows: Sequence[SweepRow], extra: dict | None = None) -> str:
+def sweep_json(
+    axis: str, rows: Sequence[SweepRow], extra: dict | None = None, csv_text: str | None = None
+) -> str:
     """``to_json`` of the axis, the rows and ``extra`` (whose keys win).
 
-    ``to_json``'s indented encoder is pure Python, so a row list of finite
-    floats is laid out by ``_sweep_rows`` into the text ``to_json`` writes
-    for the rest; anything else takes ``to_json`` whole. Same bytes.
+    json's indented encoder is pure Python, so rows of finite floats are
+    laid out from the cells of ``csv_text``, ``sweep_csv(axis, rows)``
+    (made here if None): json writes a cell's ``%.9g`` float as its text,
+    with ``.0`` after a bare integer, or, in a table where ``_NOT_REPR``
+    finds a cell, as repr. Anything else takes ``to_json`` whole. Same bytes.
     """
     extra = extra or {}
-    body = _sweep_rows(rows) if rows and "rows" not in extra else None
+    body = None
+    kinds = {type(v) for row in rows for v in vars(row).values()}  # empty without rows
+    if kinds == {float} and "rows" not in extra:
+        table = (csv_text or sweep_csv(axis, rows)).split("\n", 2)[2]
+        if "n" not in table:  # no nan or inf, which json spells its own way
+            cells = table.replace("\n", ",").split(",")[:-1]
+            if _NOT_REPR.search(table):
+                cells = [repr(float(t)) for t in cells]
+            else:
+                cells = [t if "." in t or "e" in t else t + ".0" for t in cells]
+            keyed = cells[:]  # json's key order: columns 1, 3, 2, 0
+            keyed[0::4], keyed[1::4], keyed[3::4] = cells[1::4], cells[3::4], cells[0::4]
+            body = ",\n".join([_SWEEP_ROW] * len(rows)) % tuple(keyed)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "axis": axis,

@@ -566,6 +566,12 @@ _JSON_FLOATS = st.one_of(
     ),
 )
 @example(rows=[], axis="eta", required=None)
+@example(
+    rows=[SweepRow(5e-324, 1e-310, 2.225073858507201e-308, 0.5), SweepRow(1.0, 2.0, 3.0, -0.0)],
+    axis="eta",
+    required=None,
+)
+@example(rows=[SweepRow(1e9, 1.5e15, 999999999.5, 1e16)], axis="eta", required=None)
 @example(rows=[], axis="sigma", required={"target_improvement_db": 6.0, "squeeze_db": 10.0, "eta": 0.8})
 @settings(max_examples=300, deadline=None)
 def test_sweep_json_rows_match_the_indent_encoder(rows, axis, required):
@@ -574,6 +580,30 @@ def test_sweep_json_rows_match_the_indent_encoder(rows, axis, required):
     payload.update(extra or {})
     expected = json.dumps(report_module._rounded(payload), indent=2, sort_keys=True) + "\n"
     assert sweep_json(axis, rows, extra) == expected
+    assert sweep_json(axis, rows, extra, sweep_csv(axis, rows)) == expected
+
+
+@given(
+    rows=st.lists(st.builds(SweepRow, *[_JSON_FLOATS] * 4), min_size=1, max_size=10),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sweep_json_of_other_cells_or_extra_rows_matches_the_indent_encoder(rows, data):
+    # One int or np.float64 cell, or an extra "rows" key, sends the table to to_json.
+    extra = None
+    change = data.draw(st.sampled_from(["int", "np.float64", "extra rows"]))
+    if change == "extra rows":
+        extra = {"rows": data.draw(st.sampled_from([[], "replaced"]))}
+    else:
+        at = data.draw(st.integers(0, len(rows) - 1))
+        field = data.draw(st.sampled_from(list(vars(rows[at]))))
+        cell = st.integers(-(10**20), 10**20) if change == "int" else _JSON_FLOATS.map(np.float64)
+        rows[at] = replace(rows[at], **{field: data.draw(cell)})
+    payload = {"schema_version": 1, "axis": "eta", "rows": [vars(row) for row in rows]}
+    payload.update(extra or {})
+    expected = json.dumps(report_module._rounded(payload), indent=2, sort_keys=True) + "\n"
+    assert sweep_json("eta", rows, extra) == expected
+    assert sweep_json("eta", rows, extra, sweep_csv("eta", rows)) == expected
 
 
 def test_oracle_json_structure():
