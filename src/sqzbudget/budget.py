@@ -132,8 +132,9 @@ def _owned_read_only(value) -> bool:
     return flags.owndata and not flags.writeable
 
 
-# The last unsqueezed spectrum and the grid and curves it was built from,
-# held so that their identities stay theirs: a sweep's values share it.
+# The last unsqueezed spectrum and the memoised curves it was built from,
+# held so that their identities stay theirs: a sweep's values share it. The
+# curves belong to one instrument and one grid object, so they name both.
 _unsqueezed: tuple | None = None
 
 
@@ -144,7 +145,8 @@ def total_noise(cfg: IfoConfig, grid: FrequencyGrid, sqz: float = 1.0) -> NoiseS
     the squeezing factor otherwise. Sources add in quadrature. The
     curves on the grid are memoised and read-only (see ``shot_noise_asd``),
     and so is the unsqueezed spectrum: ``sqz == 1`` returns the last one
-    while the grid and both curves are the same objects.
+    while both curves are the same objects, as they are for the same
+    instrument and grid objects.
     """
     global _unsqueezed
     require(0.0 < sqz < math.inf, "squeezing factor", sqz, "must be > 0 and finite")
@@ -153,10 +155,10 @@ def total_noise(cfg: IfoConfig, grid: FrequencyGrid, sqz: float = 1.0) -> NoiseS
         # 1.0 * x is x, bit for bit: the shot curve is the quantum part.
         tech = technical_noise_asd(cfg, grid)
         last = _unsqueezed
-        if last is not None and last[0] is grid and last[1] is shot and last[2] is tech:
-            return last[3]
+        if last is not None and last[0] is shot and last[1] is tech:
+            return last[2]
         spectrum = NoiseSpectrum(grid, shot, tech)
-        _unsqueezed = (grid, shot, tech, spectrum)
+        _unsqueezed = (shot, tech, spectrum)
         return spectrum
     if isinstance(shot, tuple):
         quantum = tuple([sqz * s for s in shot])

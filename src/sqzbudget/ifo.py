@@ -243,11 +243,12 @@ def _per_freq(f, formula):
 def _last_on_grid(formula):
     """Memoise ``formula(cfg, grid)`` on a ``FrequencyGrid``, one entry.
 
-    The last curve comes back while the grid is the same object and the
-    instrument compares equal, as they do for every value of a sweep. The
-    entry holds its key objects, so a new grid can never reuse a dropped
-    grid's identity; array curves are made read-only before they are
-    shared. Any other ``f`` is evaluated afresh.
+    The last curve comes back while the instrument and the grid are the
+    same objects, as they are for both spectra of a report and every
+    value of a sweep; an equal instrument parsed again is evaluated
+    afresh. The entry holds its key objects, so a new instrument or grid
+    can never reuse a dropped one's identity; array curves are made
+    read-only before they are shared. Any other ``f`` is evaluated afresh.
     """
     last = (None, None, None)  # instrument, grid, curve
 
@@ -257,7 +258,7 @@ def _last_on_grid(formula):
         if not isinstance(f, FrequencyGrid):
             return formula(cfg, f)
         key_cfg, key_grid, curve = last
-        if f is key_grid and (cfg is key_cfg or _same_instrument(cfg, key_cfg)):
+        if cfg is key_cfg and f is key_grid:
             return curve
         curve = formula(cfg, f)
         if not isinstance(curve, tuple):
@@ -266,13 +267,6 @@ def _last_on_grid(formula):
         return curve
 
     return memo
-
-
-def _same_instrument(a: IfoConfig, b: IfoConfig) -> bool:
-    # Equal configs give the same curves, but for the sign of a zero
-    # tech_displacement_asd, the one field that may be zero.
-    sign = math.copysign
-    return a == b and sign(1.0, a.tech_displacement_asd) == sign(1.0, b.tech_displacement_asd)
 
 
 @_last_on_grid
@@ -284,8 +278,8 @@ def shot_noise_asd(cfg: IfoConfig, f) -> np.ndarray | tuple[float, ...] | float:
     A = shot_scale / (arm_length_eff * sqrt(power_bs)) fixed by the
     anchor calibration. Units: strain / sqrt(Hz). A ``FrequencyGrid``
     gives the same bits as its ``values``, whose checks it skips; its
-    curve is memoised (the last grid and instrument) and, as an array,
-    read-only.
+    curve is memoised (the last instrument and grid objects) and, as an
+    array, read-only.
     """
     flat, pole = anchored_flat_level(cfg), cfg.sr_pole_hz
 
@@ -304,8 +298,8 @@ def technical_noise_asd(cfg: IfoConfig, f) -> np.ndarray | tuple[float, ...] | f
     rolling off as (corner/f)^2 in displacement above; referred to strain
     by the effective arm length. Continuous at the corner. A
     ``FrequencyGrid`` gives the same bits as its ``values``, whose
-    checks it skips; its curve is memoised (the last grid and instrument)
-    and, as an array, read-only.
+    checks it skips; its curve is memoised (the last instrument and grid
+    objects) and, as an array, read-only.
     """
     level, corner = cfg.tech_displacement_asd / cfg.arm_length_eff, cfg.tech_corner_hz
 

@@ -2,8 +2,11 @@
 
 ``shot_noise_asd`` and ``technical_noise_asd`` keep their last curve on a
 ``FrequencyGrid``, and ``total_noise`` its last unsqueezed spectrum, so a
-sweep evaluates them once. A hit must give the bits a fresh evaluation
-gives; the undecorated formula (``__wrapped__``) is that evaluation.
+report's two spectra and a sweep's values evaluate them once. A hit needs
+the same instrument and grid objects, which is what one command passes;
+an equal instrument built again is a miss. A hit must give the bits a
+fresh evaluation gives; the undecorated formula (``__wrapped__``) is that
+evaluation.
 """
 
 import itertools
@@ -82,11 +85,14 @@ def test_a_zero_of_the_other_sign_is_not_a_hit():
 
 @pytest.mark.parametrize("asd", FORMULAS)
 @pytest.mark.parametrize("kind", [0, 2], ids=["array", "floats"])
-def test_an_equal_but_distinct_instrument_hits(asd, kind):
+def test_an_equal_but_distinct_instrument_misses(asd, kind):
     grid = grids()[kind]
     first, second = IfoConfig(), IfoConfig()
     assert first is not second and first == second
-    assert asd(second, grid) is asd(first, grid)
+    curve = asd(first, grid)
+    again = asd(second, grid)
+    assert again is not curve
+    assert bits(again) == bits(asd.__wrapped__(second, grid))
 
 
 @pytest.mark.parametrize("asd", FORMULAS)
