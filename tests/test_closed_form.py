@@ -1,16 +1,20 @@
-"""``budget``'s files against a closed form of their own, on random configs.
+"""``budget``'s and ``sweep``'s files against a closed form of their own, on random configs.
 
-Each drawn config runs as ``budget`` through ``cli.main`` on both paths,
-arrays and floats, in one process. ``summary.json``'s figures and every
-``budget.csv`` column are compared with numbers computed here from the
-config alone:
+Each drawn config runs as ``budget``, and as a 3- or 50-value ``sweep`` on
+a drawn axis, through ``cli.main`` on both paths, arrays and floats, in
+one process. ``summary.json``'s figures, every ``budget.csv`` column and
+every row of ``sweep.csv`` and ``sweep.json`` are compared with numbers
+computed here from the config alone:
 
 * the readout variance is ``v_sq cos² + v_anti sin²`` of the injected
   ellipse after loss, averaged over the jitter by ``oracles``'
   Gauss-Hermite quadrature, at any injection angle;
 * the shot curve is the anchored flat level times ``sqrt(1 + (f/pole)²)``,
   the technical curve ``tech_displacement_asd / arm_length_eff`` rolling
-  off as ``(corner/f)²``, and each total their hypot.
+  off as ``(corner/f)²``, and each total their hypot;
+* a sweep value is the config with that value on its axis: ``eta_total``,
+  ``sigma_jitter_rad``, or ``squeeze_db`` with ``antisqueeze_db`` at least
+  as high.
 
 Every tolerance comes from the nine-digit format, never from a
 difference seen between the program and this model.
@@ -42,6 +46,9 @@ DB_ABS = 2e-7
 FLOAT_WORK = {"arrays": 0, "floats": sys.maxsize}
 
 HEADER = "f_hz,asd_off,asd_on,improvement_db,shot_off,tech,disp_off,disp_on"
+SWEEP_COLUMNS = ("value", "broadband_improvement_db", "shot_limited_improvement_db", "rate_gain")
+# Each axis's values: any efficiency, injected level or jitter a config may hold.
+AXES = {"eta": (0.05, 1.0), "injected_db": (0.0, 15.0), "sigma": (0.0, 0.5)}
 
 
 @st.composite
@@ -133,8 +140,29 @@ def assert_near(what, got, want, abs_=0.0):
     assert not bad.any(), f"{what}: got {got[bad][:3]}, expected {want[bad][:3]}"
 
 
-def run_budget(keys: dict) -> dict:
-    """``summary.json`` and ``budget.csv`` of the config on each path, by path."""
+@st.composite
+def sweeps(draw):
+    """An axis and 3 or 50 values in its domain."""
+    axis = draw(st.sampled_from(sorted(AXES)))
+    count = draw(st.sampled_from([3, 50]))
+    return axis, draw(st.lists(st.floats(*AXES[axis]), min_size=count, max_size=count))
+
+
+def at_value(keys: dict, axis: str, value: float) -> dict:
+    """The config a sweep evaluates at ``value`` on ``axis``."""
+    if axis == "eta":
+        return {**keys, "eta_total": value}
+    if axis == "sigma":
+        return {**keys, "sigma_jitter_rad": value}
+    return {**keys, "squeeze_db": value, "antisqueeze_db": max(keys["antisqueeze_db"], value)}
+
+
+def run_budget(keys: dict, *sweep) -> dict:
+    """``summary.json`` and ``budget.csv`` of the config on each path, by path.
+
+    Given an axis and its values, the same config's ``sweep.csv`` and
+    ``sweep.json`` too.
+    """
     results = {}
     saved = cli._FLOAT_WORK
     try:
@@ -152,6 +180,16 @@ def run_budget(keys: dict) -> dict:
                 for file in ("summary.json", "budget.csv"):
                     with open(os.path.join(out, file), encoding="utf-8") as fh:
                         texts[file] = fh.read()
+                if sweep:
+                    axis, values = sweep
+                    argv = ["sweep", "--config", path, "--out", out, "--axis", axis,
+                            "--values", ",".join(map(repr, values))]
+                    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                        code = cli.main(argv)
+                    assert code == 0, err.getvalue()
+                    for file in ("sweep.csv", "sweep.json"):
+                        with open(os.path.join(out, file), encoding="utf-8") as fh:
+                            texts[file] = fh.read()
                 results[name] = texts
     finally:
         cli._FLOAT_WORK = saved
@@ -213,8 +251,35 @@ def check_budget(keys: dict, summary: dict, csv_text: str) -> None:
     assert any(near), f"broadband_improvement_db {reported!r}, band medians {medians}"
 
 
-@given(keys=configs())
+def check_sweep(keys: dict, axis: str, values: list, csv_text: str, json_text: str) -> None:
+    lines = [line for line in csv_text.split("\n") if line]
+    assert lines[:2] == [f"# sweep axis: {axis}", ",".join(SWEEP_COLUMNS)]
+    csv_rows = [[float(x) for x in line.split(",")] for line in lines[2:]]
+    payload = json.loads(json_text)
+    assert payload["axis"] == axis
+    json_rows = [[row[name] for name in SWEEP_COLUMNS] for row in payload["rows"]]
+    assert len(csv_rows) == len(json_rows) == len(values)
+    f = grid(keys)
+    shot, tech = curves(keys, f)
+    off = np.hypot(shot, tech)
+    for i, value in enumerate(values):
+        var = readout_variance(at_value(keys, axis, value))
+        improvement = 20.0 * np.log10(off / np.hypot(math.sqrt(var) * shot, tech))
+        medians = list(band_medians(keys, f, improvement))
+        assert medians, "no grid point in the band"
+        for rows in (csv_rows, json_rows):
+            got, broadband, shot_limited, gain = rows[i]
+            assert_near(f"{axis} value [{i}]", got, value)
+            assert_near(f"{axis} [{i}] shot_limited_improvement_db", shot_limited,
+                        -10.0 * math.log10(var), DB_ABS)
+            assert_near(f"{axis} [{i}] rate_gain", gain, var**-1.5)
+            near = [abs(m - broadband) <= max(REL9 * abs(m), DB_ABS) for m in medians]
+            assert any(near), f"{axis} [{i}] broadband {broadband!r}, band medians {medians}"
+
+
+@given(keys=configs(), sweep=sweeps())
 @settings(max_examples=25, deadline=None, derandomize=True)
-def test_budget_files_match_the_closed_form_on_both_paths(keys):
-    for texts in run_budget(keys).values():
+def test_budget_and_sweep_files_match_the_closed_form_on_both_paths(keys, sweep):
+    for texts in run_budget(keys, *sweep).values():
         check_budget(keys, json.loads(texts["summary.json"]), texts["budget.csv"])
+        check_sweep(keys, *sweep, texts["sweep.csv"], texts["sweep.json"])

@@ -290,15 +290,19 @@ def block_sweeps(draw):
         grid_points=draw(st.integers(3, 400)),
         grid_spacing=draw(st.sampled_from(["log", "linear"])),
     )
-    f = run.grid().values.tolist()
-    # A band of exactly `bins` grid points: one, an even or an odd count.
-    bins = draw(st.sampled_from([1, 2, 3, draw(st.integers(1, len(f)))]))
-    first = draw(st.integers(0, len(f) - bins))
-    last = f[first + bins - 1] if bins > 1 else math.nextafter(f[first], math.inf)
-    run = RunConfig(**{**vars(run), "band_min_hz": f[first], "band_max_hz": last})
+    run, bins = with_exact_band(draw, run)
     axis = draw(st.sampled_from(sorted(AXES)))
     count = draw(st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5]))
     return run, axis, axis_values(draw, axis, count), bins
+
+
+def with_exact_band(draw, run):
+    """The run with a band of exactly `bins` grid points: one, an even or an odd count."""
+    f = run.grid().values.tolist()
+    bins = draw(st.sampled_from([1, 2, 3, draw(st.integers(1, len(f)))]))
+    first = draw(st.integers(0, len(f) - bins))
+    last = f[first + bins - 1] if bins > 1 else math.nextafter(f[first], math.inf)
+    return RunConfig(**{**vars(run), "band_min_hz": f[first], "band_max_hz": last}), bins
 
 
 @given(case=block_sweeps())
@@ -308,6 +312,85 @@ def test_array_rows_equal_fresh_reports_across_block_edges(case):
     band = budget._band_bins(run.grid().values, (run.band_min_hz, run.band_max_hz))
     assert band.stop - band.start == bins
     assert_sweep_equals_fresh_reports(run, axis, values)
+
+
+# log10 of the relative width of each kind's grid, whose band is all of it.
+WIDTHS = {"tie": (-6.0, -2.0), "near": (-12.0, -8.0), "unity": (-6.0, -2.0),
+          "subnormal": (-4.0, -2.0)}
+
+
+@st.composite
+def keyed_sweeps(draw, kind):
+    """An array sweep whose band keys tie, nearly tie or stand apart, at any scale.
+
+    ``_band_medians`` ranks a value's band bins by a key and evaluates the
+    improvement at its median bins only, unless the keys there tie or sit
+    within its gap of their neighbours, or a part may leave the normal
+    range; such a row gets every bin evaluated. Each ``kind`` aims at one
+    way that can go wrong:
+
+    * ``tie``: a technical curve of 0 makes every key tie;
+    * ``near``: a grid 1e-12 to 1e-8 wide (relatively) puts neighbouring
+      keys a few ulps apart, closer than their rounding, so that the keys
+      and the improvements may be ordered differently;
+    * ``unity``: on a grid 1e-6 to 1e-2 wide, squeezing factors near 1 (a
+      level or an efficiency near 0) bring every key near 1, where the
+      technical term sets the keys' gaps;
+    * ``subnormal``: on a grid 1e-4 to 1e-2 wide, a flat level from 1e-318
+      to 1e-315 puts the parts below the normal range, where a part is off
+      by more than the gap;
+    * ``edges``: the preset's span with a band of 1, 2, 3 or any number of
+      grid points, and value counts around a block's edges.
+
+    The technical curve is flat (its corner above the grid) in ``unity``,
+    and every band but ``edges``' is its whole grid.
+    """
+    level = 10.0 ** draw(st.floats(-318.0, -315.0)) if kind == "subnormal" else 1e-21
+    if kind == "edges":
+        grid = {"grid_points": draw(st.sampled_from([draw(st.integers(3, 400)),
+                                                     draw(st.integers(600, 1500))]))}
+        anchor, corner = 3000.0, 700.0
+    else:  # the band is the whole grid
+        anchor, corner = draw(st.floats(100.0, 10000.0)), 1e6 if kind == "unity" else 700.0
+        top = anchor * (1.0 + 10.0 ** draw(st.floats(*WIDTHS[kind])))
+        grid = {"f_min_hz": anchor, "f_max_hz": top, "grid_points": draw(st.integers(3, 100)),
+                "band_min_hz": anchor, "band_max_hz": top}
+    tech = 0.0 if kind == "tie" else draw(st.floats(0.1, 2.0))
+    # shot_scale fixes the flat shot level at `level`, whatever the anchor.
+    ifo = IfoConfig(
+        sr_pole_hz=draw(st.floats(100.0, 1000.0)),
+        anchor_freq_hz=anchor,
+        tech_corner_hz=corner,
+        tech_displacement_asd=tech * level * 1200.0,
+        shot_scale=level * 1200.0 * math.sqrt(2700.0),
+    )
+    squeeze = 10.0 ** draw(st.floats(-12.0, -3.0)) if kind == "unity" else draw(st.floats(0.0, 30.0))
+    anti = squeeze + draw(st.sampled_from([0.0, draw(st.floats(0.0, 6.0))]))
+    run = RunConfig(
+        ifo=ifo,
+        level=SqueezeLevel(squeeze, anti),
+        injection_angle_rad=draw(st.sampled_from([0.0, draw(st.floats(-0.5, 0.5))])),
+        sigma_jitter_rad=draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.3))])),
+        eta_total=draw(st.floats(0.05, 1.0)),
+        grid_spacing=draw(st.sampled_from(["log", "linear"])),
+        **grid,
+    )
+    if kind == "edges":
+        run, _ = with_exact_band(draw, run)
+    axis = draw(st.sampled_from(sorted(AXES)))
+    counts = [1, 2, B - 1, B + 1, 2 * B + 3] if kind == "edges" else [B + 1, 2 * B + 3]
+    count = draw(st.sampled_from(counts))
+    value = st.floats(*AXES[axis])
+    if kind == "unity" and axis != "sigma":
+        value = st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e)
+    return run, axis, draw(st.lists(value, min_size=count, max_size=count))
+
+
+@pytest.mark.parametrize("kind", [*WIDTHS, "edges"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_array_rows_equal_fresh_reports_where_band_keys_tie_or_nearly_tie(kind, data):
+    assert_sweep_equals_fresh_reports(*data.draw(keyed_sweeps(kind)))
 
 
 @pytest.mark.parametrize(
