@@ -18,6 +18,7 @@ from .budget import (
     BudgetReport,
     NoiseSpectrum,
     SweepRow,
+    SweepTable,
     build_report,
     detection_rate_gain,
     improvement_db,

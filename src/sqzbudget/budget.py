@@ -365,6 +365,22 @@ class SweepRow:
     rate_gain: float
 
 
+@dataclass
+class SweepTable:
+    """``SweepRow``'s fields as lists of floats: ``len`` counts values, ``table[i]`` is a row."""
+
+    value: list[float]
+    broadband_improvement_db: list[float]
+    shot_limited_improvement_db: list[float]
+    rate_gain: list[float]
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i: int) -> SweepRow:
+        return SweepRow(*[column[i] for column in vars(self).values()])
+
+
 def _run_at(run: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "eta":
         change = {"eta_total": value}
@@ -377,7 +393,7 @@ def _run_at(run: RunConfig, axis: str, value: float) -> RunConfig:
     return type(run)(**{**vars(run), **change})
 
 
-def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> tuple[SweepRow, ...]:
+def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> SweepTable:
     """Evaluate the budget along one parameter axis.
 
     ``axis`` is one of ``eta`` (overall efficiency), ``injected_db``
@@ -387,16 +403,12 @@ def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> tuple[Swee
     whole sweep with an error naming the axis and its index.
 
     With ``floats`` each value gets its own ``build_report`` on a float
-    grid. Otherwise the squeezing factors are one array pass
-    (``squeezing_factors``) and ``_band_medians`` ranks each value's band
-    bins by a key, evaluating the improvement with ``build_report``'s ufuncs
-    in its order at the median bins alone where a gap far above the key's
-    rounding parts them from the rest and the parts stay normal floats,
-    and at every bin otherwise (ties, as with ``tech_displacement_asd = 0``,
-    or parts near the subnormal range): every row has the bits that value's
-    report gives. A value that fails a check of the pass, or whose squeezed
-    spectrum might fail its checks, gets its report, in list order: it
-    raises that check's own message, or gives the row.
+    grid. Otherwise the factors are one array pass (``squeezing_factors``),
+    ``_band_medians`` finds the median bins once, and the other columns
+    take the scalar functions' own operations, so each cell has its
+    report's bits. A value that fails a check of the pass, or whose
+    squeezed spectrum might fail its checks, gets its report, in list
+    order: it raises that check's own message, or fills its cells.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}'; expected one of {SWEEP_AXES}")
@@ -404,7 +416,8 @@ def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> tuple[Swee
     if len(values) == 0:
         raise ConfigError("sweep needs at least one value")
     if floats:
-        return tuple(_report_row(run, axis, i, v, True) for i, v in enumerate(values))
+        cells = [_report_cells(run, axis, i, v, True) for i, v in enumerate(values)]
+        return SweepTable(values, *map(list, zip(*cells)))
     import numpy as np
 
     x = np.array(values)
@@ -415,7 +428,7 @@ def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> tuple[Swee
     elif axis == "sigma":
         sigma = x
     sqz, ok = squeezing_factors(sq, anti, run.injection_angle_rad, eta, sigma)
-    off = bins = None
+    medians = np.zeros(len(values))
     if ok.any():
         try:  # the same instrument, grid and band for every value
             off = total_noise(run.ifo, run.grid(), 1.0)
@@ -430,94 +443,82 @@ def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> tuple[Swee
             least, most = float(off.quantum.min()), float(off.quantum.max())
             with np.errstate(all="ignore"):
                 ok &= (sqz * least > 0.0) & (sqz * most < _PART_MAX) & (off.tech.max() < _PART_MAX)
-    rows = [None] * len(values)
+            medians[ok] = _band_medians(off, bins, sqz[ok])
+    # The mask holds 0 < sqz < inf, the rule of the scalar functions whose
+    # operations make these columns; a value off it reads 1 until its report's.
+    factors = np.where(ok, sqz, 1.0).tolist()
+    columns = (medians.tolist(), [-20.0 * math.log10(s) for s in factors],
+               [(1.0 / s) ** 3 for s in factors])
     for i in np.flatnonzero(~ok).tolist():
-        rows[i] = _report_row(run, axis, i, values[i])
-    kept = sqz[ok]
-    if len(kept):
-        medians = _band_medians(off, bins, kept)
-        for i, s, median in zip(np.flatnonzero(ok).tolist(), kept.tolist(), medians):
-            gain = detection_rate_gain(1.0 / s)
-            rows[i] = SweepRow(values[i], median, shot_limited_improvement_db(s), gain)
-    return tuple(rows)
+        for column, cell in zip(columns, _report_cells(run, axis, i, values[i])):
+            column[i] = cell
+    return SweepTable(values, *columns)
 
 
-def _report_row(run: RunConfig, axis: str, i: int, value: float, floats: bool = False) -> SweepRow:
-    """The row of value ``i`` from its own report, or its error under the sweep's prefix."""
+def _report_cells(run: RunConfig, axis: str, i: int, value: float, floats: bool = False):
+    """Value ``i``'s three metrics from its own report, or its error under the sweep's prefix."""
     try:
         report = build_report(_run_at(run, axis, value), floats)
     except DomainError as exc:
         raise DomainError(f"sweep {axis} value [{i}]: {exc}", *exc.keys) from None
-    return SweepRow(value, report.broadband_improvement_db, report.shot_limited_improvement_db,
-                    report.rate_gain)
+    return report.broadband_improvement_db, report.shot_limited_improvement_db, report.rate_gain
 
 
-# Values per block of band medians, and cells per block: the work array is
-# at most this many rows of the band's bins and at least one row, so its
-# size grows neither with the number of values nor, beyond one row, with
-# the band.
+# Fallback rows per block of band medians, and cells per block: a block is at
+# most this many rows of the band's bins and at least one row, so it grows
+# neither with the number of values nor, beyond one row, with the band.
 _BLOCK_ROWS = 64
 _BLOCK_CELLS = 1 << 15
-# The keys' least relative gap and the least normal float; see _band_medians.
+# A quarter of the least key gap, and the least normal float; see _band_medians.
 _KEY_GAP = 2.0**-30
 _TINY = sys.float_info.min
 
 
-def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: np.ndarray) -> list[float]:
-    """``build_report``'s band median for each squeezing factor, in blocks.
+def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: np.ndarray) -> np.ndarray:
+    """``build_report``'s band median for each squeezing factor.
 
     A row's improvement on the band's bins, 20*log10(T / hypot(s*S, t))
-    (S shot, t technical, T = ``off.total``, s the factor), is -10*log10(K)
-    of the key K = s²(S/T)² + (t/T)², one product and one sum per block.
-    One argpartition per block finds each row's middle keys and their
-    neighbours; only the median bins' improvements are then evaluated,
-    with ``build_report``'s ufuncs in its order, and an even count takes
-    the mean of the two.
-
-    With u = 2**-53 and every result normal, the key is within 6u of K
-    relatively and the improvement (hypot within 1 ulp, log10 within 4,
-    |improvement| < 6200 dB) within 35u + 9u*6200 < 5.6e4 u dB. Keys a
-    factor 1 + g apart hold improvements (10/ln 10)(g - 14u) dB apart,
-    over twice that once g > 2.6e4 u: ``_KEY_GAP`` = 2**-30 leaves a
-    factor of 300. Where it parts each middle key from the next in rank,
-    both ways, the row gets its report's bits; equal keys never pass.
-    Results stay normal while each S/T, and t/T unless 0, is at least
-    2**-511, s²·min (S/T)² and s·min S are at least ``_TINY``, and s² is
-    within 1e±30 (``_MAX_DB``). Other rows get every bin evaluated.
+    (S shot, t technical, T = ``off.total``, s the factor), is -10*log10(K),
+    K = (s² + x)/(1 + x), x = (t/S)², up to rounding: monotone in x for
+    s != 1. So the bins of x's middle ranks, sorted once, are every row's
+    median bins (a reversed order keeps its middle). A row is evaluated at
+    them alone, with ``build_report``'s ufuncs in its order, where each
+    neighbouring pair x_i <= x_j from one rank below the middle to one above
+    has |K_j/K_i - 1| = |1 - s²|(x_j - x_i)/((s² + x_i)(1 + x_j)) above
+    4·``_KEY_GAP``. With u = 2**-53 and results normal, an improvement is
+    within 1.6e3u dB of exact: T, the hypot (1 ulp each), s*S and the
+    quotient put the ratio within 6u, log10 adds 4 ulp of at most 15 (s²
+    within 1e±30, ``_MAX_DB``), the product by 20 half an ulp of 300. The
+    roundings of x (3u), s² and the gap move ln(K_j/K_i) by under 16u, as
+    |d ln K/d ln x| <= 1: a gap over 2**-28 parts improvements by over
+    1.4e8u dB, 4e4 times twice the error, so the row gets its report's bits;
+    equal x never pass. Results stay normal while each S/T, and t/T unless
+    0, is at least 2**-511, and s²·min (S/T)² and s·min S at least ``_TINY``;
+    other rows get every bin evaluated, in blocks.
     """
     import numpy as np
 
     shot, tech, total = off.quantum[bins], off.tech[bins], off.total[bins]
     n = len(shot)
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
     lo, hi = (n - 1) // 2, n // 2
-    kth = range(max(lo - 1, 0), min(hi + 2, n))
     a, b, s2 = np.square(shot / total), np.square(tech / total), sqzs * sqzs
-    # With no technical noise at all, every key of a row is s²: they tie.
-    normal = (a.min() >= _TINY) & ((b >= _TINY) | (tech == 0.0)).all() & (n == 1 or tech.any())
-    todo = np.flatnonzero(normal & (s2 * a.min() >= _TINY) & (sqzs * shot.min() >= _TINY))
-    keyed = np.zeros(len(sqzs), dtype=bool)
-    middle = np.empty((len(sqzs), hi + 1 - lo), dtype=np.intp)
-    at = np.arange(rows)[:, None]
-    for start in range(0, len(todo), rows):
-        take = todo[start:start + rows]
-        key = np.multiply.outer(s2[take], a)
-        key += b
-        ranks = key.argpartition(kth)
-        near = key[at[:len(key)], ranks[:, kth.start:kth.stop]]
-        keyed[take] = (near[:, :-1] * (1.0 + _KEY_GAP) < near[:, 1:]).all(1)
-        middle[take] = ranks[:, lo:hi + 1]
-    medians = np.empty(len(sqzs))
-    j = middle[keyed]
-    block = np.hypot(sqzs[keyed, None] * shot[j], tech[j])
-    block = 20.0 * np.log10(total[j] / block)
-    medians[keyed] = block[:, 0] if n % 2 else (block[:, 0] + block[:, 1]) / 2.0
+    medians, keyed = np.empty(len(sqzs)), np.zeros(len(sqzs), dtype=bool)
+
+    def median(rows, j):  # of the improvements of ``rows`` at bins ``j``
+        on = np.hypot(sqzs[rows, None] * shot[j], tech[j])
+        return _row_medians(20.0 * np.log10(total[j] / on))
+
+    if a.min() >= _TINY and ((b >= _TINY) | (tech == 0.0)).all():
+        x = np.square(tech / shot)  # finite, as S/T >= 2**-511
+        order = x.argsort()
+        near = x[order[max(lo - 1, 0):hi + 2]]
+        xi, xj = near[:-1], near[1:]
+        gap = np.abs(1.0 - s2)[:, None] * ((xj - xi) / (1.0 + xj)) / (s2[:, None] + xi)
+        keyed = (gap > 4.0 * _KEY_GAP).all(1) & (s2 * a.min() >= _TINY)
+        keyed &= sqzs * shot.min() >= _TINY
+        medians[keyed] = median(keyed, order[lo:hi + 1])
     rest = np.flatnonzero(~keyed)
-    for start in range(0, len(rest), rows):
-        block = np.multiply.outer(sqzs[rest[start:start + rows]], shot)
-        np.hypot(block, tech, out=block)
-        np.divide(total, block, out=block)
-        np.log10(block, out=block)
-        np.multiply(20.0, block, out=block)
-        medians[rest[start:start + rows]] = _row_medians(block)
-    return medians.tolist()
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
+    for start in range(0, len(rest), step):
+        medians[rest[start:start + step]] = median(rest[start:start + step], slice(None))
+    return medians

@@ -138,7 +138,7 @@ def _cmd_sweep(args) -> int:
                 "eta": eta,
             }
         }
-    rows = ()
+    table = ()
     if args.values is not None:
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -147,14 +147,14 @@ def _cmd_sweep(args) -> int:
         if not values:
             raise ConfigError(f"--values must hold at least one number, got {args.values!r}")
         floats = run.grid_points * len(values) <= _FLOAT_WORK * _SWEEP_FLOAT_SCALE
-        rows = sweep(run, args.axis, values, floats)
+        table = sweep(run, args.axis, values, floats)
     elif extra is None:
         raise ConfigError("sweep needs --values, --solve-improvement-db, or both")
-    text = sweep_csv(args.axis, rows) if rows else sweep_json(args.axis, rows, extra)
-    if rows and args.format in ("csv", "all"):
+    text = sweep_csv(args.axis, table) if table else sweep_json(args.axis, table, extra)
+    if table and args.format in ("csv", "all"):
         _write(args.out, "sweep.csv", text)
     if args.format in ("json", "all"):
-        _write(args.out, "sweep.json", sweep_json(args.axis, rows, extra, text) if rows else text)
+        _write(args.out, "sweep.json", sweep_json(args.axis, table, extra, text) if table else text)
     sys.stdout.write(text)
     return EXIT_OK
 

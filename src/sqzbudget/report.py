@@ -13,10 +13,9 @@ to two threads and joins them in order, so the bytes do not depend on
 the thread count. The spectra of a run on a float grid, which must not
 load numpy, are a list of rows written with one ``%`` row template, the
 one ``format_rows`` applies to the rows it cannot prove exact; so is
-the ledger, which has a text column. A sweep's table is one ``%``
-template over all its cells, and ``sweep.json``'s rows are laid out
-from that text, so each cell is rounded once. Either way the bytes are
-those of ``fmt9``.
+the ledger, which has a text column. A sweep's columns are interleaved
+into one ``%`` template, whose text also lays out ``sweep.json``'s rows,
+so each cell is rounded once. Either way the bytes are those of ``fmt9``.
 Nothing here writes timestamps, hostnames, or absolute paths.
 """
 
@@ -27,7 +26,7 @@ import re
 from typing import Sequence
 
 from ._numfmt import format_rows
-from .budget import BudgetReport, SweepRow
+from .budget import BudgetReport, SweepTable
 from .losses import DegradationRow
 from .oracle import Z_MAX, OracleVerdict
 from .svgplot import Trace, render_loglog
@@ -167,11 +166,11 @@ def summary_json(report: BudgetReport) -> str:
     return to_json(summary_dict(report))
 
 
-def sweep_csv(axis: str, rows: Sequence[SweepRow]) -> str:
-    # SweepRow declares its fields in column order.
-    cells = tuple([v for row in rows for v in vars(row).values()])
+def sweep_csv(axis: str, table: SweepTable) -> str:
+    cells = [0.0] * (4 * len(table))  # the columns, interleaved row by row
+    cells[0::4], cells[1::4], cells[2::4], cells[3::4] = vars(table).values()
     head = "value,broadband_improvement_db,shot_limited_improvement_db,rate_gain\n"
-    return f"# sweep axis: {axis}\n{head}" + ("%.9g,%.9g,%.9g,%.9g\n" * len(rows)) % cells
+    return f"# sweep axis: {axis}\n{head}" + ("%.9g,%.9g,%.9g,%.9g\n" * len(table)) % tuple(cells)
 
 
 # One row of sweep.json as ``to_json`` lays it out: sorted keys, indent 2.
@@ -185,34 +184,33 @@ _NOT_REPR = re.compile(r"e\+(?:09|1[0-5])(?!\d)|e-3\d\d")
 
 
 def sweep_json(
-    axis: str, rows: Sequence[SweepRow], extra: dict | None = None, csv_text: str | None = None
+    axis: str, table: SweepTable, extra: dict | None = None, csv_text: str | None = None
 ) -> str:
-    """``to_json`` of the axis, the rows and ``extra`` (whose keys win).
+    """``to_json`` of the axis, the table's rows and ``extra`` (whose keys win).
 
-    json's indented encoder is pure Python, so rows of finite floats are
-    laid out from the cells of ``csv_text``, ``sweep_csv(axis, rows)``
-    (made here if None): json writes a cell's ``%.9g`` float as its text,
-    with ``.0`` after a bare integer, or, in a table where ``_NOT_REPR``
-    finds a cell, as repr. Anything else takes ``to_json`` whole. Same bytes.
+    json's indented encoder is pure Python, so a table of floats is laid out
+    from the cells of ``csv_text``, ``sweep_csv(axis, table)`` (made here if
+    None): json writes a ``%.9g`` float as its text, ``.0`` after a bare
+    integer, or as repr in a table where ``_NOT_REPR`` finds a cell. Nan, inf,
+    no rows or a "rows" key in ``extra`` take ``to_json`` whole. Same bytes.
     """
     extra = extra or {}
     body = None
-    kinds = {type(v) for row in rows for v in vars(row).values()}  # empty without rows
-    if kinds == {float} and "rows" not in extra:
-        table = (csv_text or sweep_csv(axis, rows)).split("\n", 2)[2]
-        if "n" not in table:  # no nan or inf, which json spells its own way
-            cells = table.replace("\n", ",").split(",")[:-1]
-            if _NOT_REPR.search(table):
+    if len(table) and "rows" not in extra:
+        lines = (csv_text or sweep_csv(axis, table)).split("\n", 2)[2]
+        if "n" not in lines:  # no nan or inf, which json spells its own way
+            cells = lines.replace("\n", ",").split(",")[:-1]
+            if _NOT_REPR.search(lines):
                 cells = [repr(float(t)) for t in cells]
             else:
                 cells = [t if "." in t or "e" in t else t + ".0" for t in cells]
             keyed = cells[:]  # json's key order: columns 1, 3, 2, 0
             keyed[0::4], keyed[1::4], keyed[3::4] = cells[1::4], cells[3::4], cells[0::4]
-            body = ",\n".join([_SWEEP_ROW] * len(rows)) % tuple(keyed)
+            body = ",\n".join([_SWEEP_ROW] * len(table)) % tuple(keyed)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "axis": axis,
-        "rows": [vars(row) for row in rows] if body is None else [],
+        "rows": [vars(row) for row in table] if body is None else [],
     }
     payload.update(extra)
     text = to_json(payload)

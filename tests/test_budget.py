@@ -108,6 +108,22 @@ def test_noise_spectrum_rejects(quantum, tech, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "quantum, tech, message",
+    [
+        ([1e-21, math.nan], [0.0, 0.0], "quantum must be finite"),
+        ([1e-21, 1e-21], [0.0, -1e-22], "quantum must be positive and tech non-negative"),
+        ([1e-21, 1e-21], [0.0], "tech must have one entry per grid point ((1,) vs 2)"),
+        # abs(complex) raises OverflowError where the array's hypot gives inf.
+        ([1.5e308, 1.5e308], [1.5e308, 1.0], "total = hypot(quantum, tech) must be finite"),
+    ],
+)
+def test_noise_spectrum_on_a_float_grid_rejects_as_on_an_array(quantum, tech, message):
+    with pytest.raises(DomainError) as info:
+        NoiseSpectrum(FrequencyGrid((100.0, 1000.0)), quantum, tech)
+    assert str(info.value) == message
+
+
 def test_noise_spectrum_keeps_large_parts_whose_total_is_finite():
     grid = FrequencyGrid(np.array([100.0, 1000.0]))
     spectrum = NoiseSpectrum(grid, [1.7e308, 1e-21], [1.0, 0.0])
@@ -339,6 +355,23 @@ class TestGridMemo:
         assert (band.stop - band.start) * budget._BLOCK_ROWS > budget._BLOCK_CELLS
         values = [0.3, 0.62, 0.9] if axis == "eta" else [0.0, 3.0, 20.0]
         assert_rows_equal_fresh_reports(run, axis, values, sweep(run, axis, values))
+
+    # Factors within about 1e-12 of 1 leave every key near 1, so every row
+    # falls back to its whole band: in blocks of two rows and of one here.
+    @pytest.mark.parametrize("grid_points, blocks", [(20000, [2, 2, 1]), (60000, [1] * 5)])
+    def test_fallback_rows_of_a_wide_band_take_smaller_blocks_with_the_same_bits(
+        self, grid_points, blocks, monkeypatch
+    ):
+        run = RunConfig(grid_points=grid_points, band_min_hz=100.0, sigma_jitter_rad=0.0)
+        shapes, row_medians = [], budget._row_medians
+        monkeypatch.setattr(budget, "_row_medians", lambda b: shapes.append(b.shape) or row_medians(b))
+        values = [0.0, 0.0, 1e-12, 2e-12, 0.0]
+        rows = sweep(run, "injected_db", values)
+        band = budget._band_bins(run.grid().values, (run.band_min_hz, run.band_max_hz))
+        assert shapes[0][0] == 0, "no keyed row"
+        assert shapes[1:] == [(rows_in_block, band.stop - band.start) for rows_in_block in blocks]
+        monkeypatch.undo()
+        assert_rows_equal_fresh_reports(run, "injected_db", values, rows)
 
 
 class TestRateGain:

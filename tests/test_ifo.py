@@ -248,6 +248,15 @@ class TestFrequencyGrid:
         assert not a != b
         assert a != FrequencyGrid(np.geomspace(10.0, 100.0, 6))
 
+    def test_float_grids_compare_by_value_and_other_objects_never_equal(self):
+        a = FrequencyGrid((10.0, 100.0))
+        assert a == FrequencyGrid((10.0, 100.0)) and not a != FrequencyGrid((10.0, 100.0))
+        assert a != FrequencyGrid((10.0, 1000.0))
+        assert a == FrequencyGrid(np.array([10.0, 100.0]))
+        # A tuple of the same values is not a grid: Python falls back to identity.
+        assert a.__eq__((10.0, 100.0)) is NotImplemented
+        assert a != (10.0, 100.0) and not a == (10.0, 100.0)
+
     def test_values_are_read_only(self):
         grid = FrequencyGrid(np.geomspace(10.0, 100.0, 5))
         with pytest.raises(ValueError):

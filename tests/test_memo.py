@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from sqzbudget import budget, config, ifo
 from sqzbudget.budget import NoiseSpectrum, build_report, sweep, total_noise
-from sqzbudget.config import RunConfig
+from sqzbudget.config import RunConfig, default_run_config
 from sqzbudget.errors import DomainError
 from sqzbudget.ifo import FrequencyGrid, IfoConfig, shot_noise_asd, technical_noise_asd
 from sqzbudget.losses import LossElement
@@ -391,6 +391,91 @@ def keyed_sweeps(draw, kind):
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_array_rows_equal_fresh_reports_where_band_keys_tie_or_nearly_tie(kind, data):
     assert_sweep_equals_fresh_reports(*data.draw(keyed_sweeps(kind)))
+
+
+@st.composite
+def band_spectra(draw):
+    """An unsqueezed spectrum, a band of it and squeezing factors.
+
+    The band's x = (t/S)² stand apart, tie (a technical part that is the
+    same multiple of the shot part, or 0) or lie a few ulps apart, on a
+    shot curve that is not flat, so that x's order is not t's. The factors
+    reach 1e±15 (s² within 1e±30) and come within 1e-16 of 1, where every
+    key is near 1 and the gaps vanish.
+    """
+    n = draw(st.integers(1, 40))
+    scale = 10.0 ** draw(st.floats(-30.0, 30.0))
+    shot = [scale * 10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(n)]
+    base = 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["apart", "tie", "near"]))
+    if kind == "apart":
+        ratio = [10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(n)]
+    elif kind == "tie":
+        ratio = draw(st.lists(st.sampled_from([0.0, base, 2.0 * base]), min_size=n, max_size=n))
+    else:
+        ratio = [base * (1.0 + draw(st.integers(-4, 4)) * 2.0**-52) for _ in range(n)]
+    grid = FrequencyGrid(np.arange(1.0, n + 1.0))
+    off = NoiseSpectrum(grid, np.array(shot), np.array([r * v for r, v in zip(ratio, shot)]))
+    start = draw(st.integers(0, n - 1))
+    bins = slice(start, draw(st.integers(start + 1, n)))
+    near_one = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-16.0, -1.0))
+    factor = st.one_of(
+        st.floats(-15.0, 15.0).map(lambda e: 10.0**e),
+        near_one.map(lambda p: 1.0 + p[0] * 10.0 ** p[1]),
+        st.just(1.0),
+    )
+    return off, bins, draw(st.lists(factor, min_size=1, max_size=8))
+
+
+@given(case=band_spectra())
+@settings(max_examples=300, deadline=None)
+def test_a_row_that_passes_the_gap_check_has_the_full_evaluations_median_bits(case):
+    off, bins, factors = case
+    shot, tech, f = off.quantum[bins], off.tech[bins], off.grid.values
+    n = len(shot)
+    lo, hi = (n - 1) // 2, n // 2
+    x = np.square(tech / shot)
+    order = np.argsort(x, kind="stable")
+    near = x[order[max(lo - 1, 0):hi + 2]]
+    shapes, row_medians = [], budget._row_medians
+
+    def recording_row_medians(block):
+        shapes.append(block.shape)
+        return row_medians(block)
+
+    band = (f[bins.start], math.nextafter(f[bins.stop - 1], math.inf))
+    for s in factors:
+        # One factor at a time: the first block is the keyed rows' median
+        # bins, any other one a fallback row's band.
+        shapes.clear()
+        budget._row_medians = recording_row_medians
+        try:
+            median = float(budget._band_medians(off, bins, np.array([s]))[0])
+        finally:
+            budget._row_medians = row_medians
+        on = NoiseSpectrum(off.grid, s * off.quantum, off.tech)
+        per_bin, full = budget.improvement_db(off, on, band)
+        assert median.hex() == full.hex()
+        s2 = s * s
+        gap = abs(1.0 - s2) * ((near[1:] - near[:-1]) / (1.0 + near[1:])) / (s2 + near[:-1])
+        keyed = bool((gap > 4.0 * budget._KEY_GAP).all())
+        assert shapes[0] == (int(keyed), hi - lo + 1)
+        if keyed:  # its median is the mean of the improvements at x's middle ranks
+            middle = per_bin[bins][order[lo:hi + 1]]
+            assert full.hex() == (middle[0] if n % 2 else (middle[0] + middle[1]) / 2.0).hex()
+
+
+def test_no_row_of_a_preset_sweep_falls_back(monkeypatch):
+    # At the preset the band's middle x ranks are percents apart, so every
+    # factor's row is evaluated at its median bins alone: one block.
+    run = default_run_config()
+    shapes, row_medians = [], budget._row_medians
+    monkeypatch.setattr(budget, "_row_medians", lambda b: shapes.append(b.shape) or row_medians(b))
+    values = np.linspace(0.05, 1.0, 1000).tolist()
+    rows = sweep(run, "eta", values)
+    assert [shape[0] for shape in shapes] == [1000]
+    monkeypatch.undo()
+    assert_rows_equal_fresh_reports(run, "eta", values[::50], [rows[i] for i in range(0, 1000, 50)])
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,14 @@ class TestConstruction:
         with pytest.raises(DomainError):
             QuadratureState(0.1, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["v_sq", "v_anti", "angle"])
+    def test_rejects_a_non_finite_field(self, name, bad):
+        fields = {"v_sq": 0.1, "v_anti": 10.0, "angle": 0.3, name: bad}
+        with pytest.raises(DomainError) as info:
+            QuadratureState(**fields)
+        assert str(info.value) == f"{name} must be finite, got {bad!r}"
+
     def test_rejects_heisenberg_violation(self):
         with pytest.raises(DomainError):
             QuadratureState(0.1, 0.2)

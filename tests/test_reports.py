@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from sqzbudget import (
     IfoConfig,
-    SweepRow,
+    SweepTable,
     build_report,
     default_run_config,
     standard_suite,
@@ -133,17 +133,29 @@ _SWEEP_HEAD = [
     "# sweep axis: sigma",
     "value,broadband_improvement_db,shot_limited_improvement_db,rate_gain",
 ]
+_SWEEP_FIELDS = _SWEEP_HEAD[1].split(",")
 
 
-@given(st.lists(st.builds(SweepRow, *[_NUMBER] * 4), max_size=40))
+@st.composite
+def _sweep_tables(draw, cell, min_size=0, max_size=40):
+    """A ``SweepTable`` of four equal-length columns of ``cell`` draws."""
+    n = draw(st.integers(min_size, max_size))
+    return SweepTable(*[draw(st.lists(cell, min_size=n, max_size=n)) for _ in _SWEEP_FIELDS])
+
+
+def _sweep_rows(table):
+    """The table's rows as cell tuples, read from its columns directly."""
+    return list(zip(*[getattr(table, name) for name in _SWEEP_FIELDS]))
+
+
+@given(_sweep_tables(_NUMBER))
 @settings(max_examples=300, deadline=None)
-def test_sweep_csv_matches_the_per_cell_writer(rows):
-    expected = _csv_per_cell(_SWEEP_HEAD, [tuple(vars(row).values()) for row in rows])
-    assert sweep_csv("sigma", rows) == expected
+def test_sweep_csv_matches_the_per_cell_writer(table):
+    assert sweep_csv("sigma", table) == _csv_per_cell(_SWEEP_HEAD, _sweep_rows(table))
 
 
 def test_csv_without_rows_is_its_header():
-    assert sweep_csv("eta", ()) == (
+    assert sweep_csv("eta", SweepTable([], [], [], [])) == (
         "# sweep axis: eta\n"
         "value,broadband_improvement_db,shot_limited_improvement_db,rate_gain\n"
     )
@@ -555,8 +567,16 @@ _JSON_FLOATS = st.one_of(
 )
 
 
+def _sweep_payload(axis, table, extra):
+    """sweep.json's payload, its rows read from the table's columns."""
+    rows = [dict(zip(_SWEEP_FIELDS, row)) for row in _sweep_rows(table)]
+    payload = {"schema_version": 1, "axis": axis, "rows": rows}
+    payload.update(extra or {})
+    return json.dumps(report_module._rounded(payload), indent=2, sort_keys=True) + "\n"
+
+
 @given(
-    rows=st.lists(st.builds(SweepRow, *[_JSON_FLOATS] * 4), max_size=40),
+    table=_sweep_tables(_JSON_FLOATS),
     axis=st.sampled_from(["eta", "injected_db", "sigma"]),
     required=st.one_of(
         st.none(),
@@ -565,45 +585,39 @@ _JSON_FLOATS = st.one_of(
         ),
     ),
 )
-@example(rows=[], axis="eta", required=None)
+@example(table=SweepTable([], [], [], []), axis="eta", required=None)
 @example(
-    rows=[SweepRow(5e-324, 1e-310, 2.225073858507201e-308, 0.5), SweepRow(1.0, 2.0, 3.0, -0.0)],
+    table=SweepTable([5e-324, 1.0], [1e-310, 2.0], [2.225073858507201e-308, 3.0], [0.5, -0.0]),
     axis="eta",
     required=None,
 )
-@example(rows=[SweepRow(1e9, 1.5e15, 999999999.5, 1e16)], axis="eta", required=None)
-@example(rows=[], axis="sigma", required={"target_improvement_db": 6.0, "squeeze_db": 10.0, "eta": 0.8})
+@example(table=SweepTable([1e9], [1.5e15], [999999999.5], [1e16]), axis="eta", required=None)
+@example(table=SweepTable([0.5, 1.0], [math.nan, 2.0], [3.0, math.inf], [-math.inf, 4.0]),
+         axis="sigma", required=None)
+@example(table=SweepTable([], [], [], []), axis="sigma",
+         required={"target_improvement_db": 6.0, "squeeze_db": 10.0, "eta": 0.8})
 @settings(max_examples=300, deadline=None)
-def test_sweep_json_rows_match_the_indent_encoder(rows, axis, required):
+def test_sweep_json_rows_match_the_indent_encoder(table, axis, required):
     extra = None if required is None else {"required_eta": required}
-    payload = {"schema_version": 1, "axis": axis, "rows": [vars(row) for row in rows]}
-    payload.update(extra or {})
-    expected = json.dumps(report_module._rounded(payload), indent=2, sort_keys=True) + "\n"
-    assert sweep_json(axis, rows, extra) == expected
-    assert sweep_json(axis, rows, extra, sweep_csv(axis, rows)) == expected
+    expected = _sweep_payload(axis, table, extra)
+    assert sweep_json(axis, table, extra) == expected
+    assert sweep_json(axis, table, extra, sweep_csv(axis, table)) == expected
 
 
-@given(
-    rows=st.lists(st.builds(SweepRow, *[_JSON_FLOATS] * 4), min_size=1, max_size=10),
-    data=st.data(),
-)
+@given(table=_sweep_tables(_JSON_FLOATS, min_size=1, max_size=10), data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_sweep_json_of_other_cells_or_extra_rows_matches_the_indent_encoder(rows, data):
-    # One int or np.float64 cell, or an extra "rows" key, sends the table to to_json.
+def test_sweep_json_of_other_cells_or_extra_rows_matches_the_indent_encoder(table, data):
+    # An np.float64 cell is laid out like a float; an extra "rows" key sends
+    # the table to to_json.
     extra = None
-    change = data.draw(st.sampled_from(["int", "np.float64", "extra rows"]))
-    if change == "extra rows":
+    if data.draw(st.booleans()):
         extra = {"rows": data.draw(st.sampled_from([[], "replaced"]))}
     else:
-        at = data.draw(st.integers(0, len(rows) - 1))
-        field = data.draw(st.sampled_from(list(vars(rows[at]))))
-        cell = st.integers(-(10**20), 10**20) if change == "int" else _JSON_FLOATS.map(np.float64)
-        rows[at] = replace(rows[at], **{field: data.draw(cell)})
-    payload = {"schema_version": 1, "axis": "eta", "rows": [vars(row) for row in rows]}
-    payload.update(extra or {})
-    expected = json.dumps(report_module._rounded(payload), indent=2, sort_keys=True) + "\n"
-    assert sweep_json("eta", rows, extra) == expected
-    assert sweep_json("eta", rows, extra, sweep_csv("eta", rows)) == expected
+        column = getattr(table, data.draw(st.sampled_from(_SWEEP_FIELDS)))
+        column[data.draw(st.integers(0, len(table) - 1))] = data.draw(_JSON_FLOATS.map(np.float64))
+    expected = _sweep_payload("eta", table, extra)
+    assert sweep_json("eta", table, extra) == expected
+    assert sweep_json("eta", table, extra, sweep_csv("eta", table)) == expected
 
 
 def test_oracle_json_structure():
@@ -666,3 +680,10 @@ class TestSvg:
         ]
         with pytest.raises(DomainError, match="'moved' is not on the first trace's frequencies"):
             render_loglog(traces)
+
+    @pytest.mark.parametrize("x", [[100.0, 100.0], (100.0, 100.0)], ids=["array", "tuple"])
+    def test_render_rejects_frequencies_that_span_no_decade(self, x):
+        # Every x at one power of ten: the x axis would run from 100 to 100.
+        with pytest.raises(DomainError) as info:
+            render_loglog([Trace("flat", "#000", x, (1.0, 2.0))])
+        assert str(info.value) == "log axis needs 0 < lo < hi, got (100.0, 100.0)"
