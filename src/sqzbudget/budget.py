@@ -406,9 +406,10 @@ def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> SweepTable
     grid. Otherwise the factors are one array pass (``squeezing_factors``),
     ``_band_medians`` finds the median bins once, and the other columns
     take the scalar functions' own operations, so each cell has its
-    report's bits. A value that fails a check of the pass, or whose
-    squeezed spectrum might fail its checks, gets its report, in list
-    order: it raises that check's own message, or fills its cells.
+    report's bits. A value that fails a check of the pass, whose squeezed
+    spectrum might fail its checks, or whose median bins the pass cannot
+    prove gets its report, in list order: it raises that check's own
+    message, or fills its cells.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}'; expected one of {SWEEP_AXES}")
@@ -443,7 +444,8 @@ def sweep(run: RunConfig, axis: str, values, floats: bool = False) -> SweepTable
             least, most = float(off.quantum.min()), float(off.quantum.max())
             with np.errstate(all="ignore"):
                 ok &= (sqz * least > 0.0) & (sqz * most < _PART_MAX) & (off.tech.max() < _PART_MAX)
-            medians[ok] = _band_medians(off, bins, sqz[ok])
+            proved, ok[ok] = _band_medians(off, bins, sqz[ok])  # narrowed to the proved
+            medians[ok] = proved
     # The mask holds 0 < sqz < inf, the rule of the scalar functions whose
     # operations make these columns; a value off it reads 1 until its report's.
     factors = np.where(ok, sqz, 1.0).tolist()
@@ -464,18 +466,13 @@ def _report_cells(run: RunConfig, axis: str, i: int, value: float, floats: bool 
     return report.broadband_improvement_db, report.shot_limited_improvement_db, report.rate_gain
 
 
-# Fallback rows per block of band medians, and cells per block: a block is at
-# most this many rows of the band's bins and at least one row, so it grows
-# neither with the number of values nor, beyond one row, with the band.
-_BLOCK_ROWS = 64
-_BLOCK_CELLS = 1 << 15
 # A quarter of the least key gap, and the least normal float; see _band_medians.
 _KEY_GAP = 2.0**-30
 _TINY = sys.float_info.min
 
 
-def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: np.ndarray) -> np.ndarray:
-    """``build_report``'s band median for each squeezing factor.
+def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: np.ndarray) -> tuple:
+    """``build_report``'s band median of each factor proved here, and their mask ``keyed``.
 
     A row's improvement on the band's bins, 20*log10(T / hypot(s*S, t))
     (S shot, t technical, T = ``off.total``, s the factor), is -10*log10(K),
@@ -493,8 +490,8 @@ def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: np.ndarray) -> np.ndarr
     |d ln K/d ln x| <= 1: a gap over 2**-28 parts improvements by over
     1.4e8u dB, 4e4 times twice the error, so the row gets its report's bits;
     equal x never pass. Results stay normal while each S/T, and t/T unless
-    0, is at least 2**-511, and s²·min (S/T)² and s·min S at least ``_TINY``;
-    other rows get every bin evaluated, in blocks.
+    0, is at least 2**-511, and s²·min (S/T)² and s·min S at least ``_TINY``.
+    Other rows are not evaluated: they are off ``keyed``.
     """
     import numpy as np
 
@@ -502,12 +499,7 @@ def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: np.ndarray) -> np.ndarr
     n = len(shot)
     lo, hi = (n - 1) // 2, n // 2
     a, b, s2 = np.square(shot / total), np.square(tech / total), sqzs * sqzs
-    medians, keyed = np.empty(len(sqzs)), np.zeros(len(sqzs), dtype=bool)
-
-    def median(rows, j):  # of the improvements of ``rows`` at bins ``j``
-        on = np.hypot(sqzs[rows, None] * shot[j], tech[j])
-        return _row_medians(20.0 * np.log10(total[j] / on))
-
+    medians, keyed = np.empty(0), np.zeros(len(sqzs), dtype=bool)
     if a.min() >= _TINY and ((b >= _TINY) | (tech == 0.0)).all():
         x = np.square(tech / shot)  # finite, as S/T >= 2**-511
         order = x.argsort()
@@ -516,9 +508,7 @@ def _band_medians(off: NoiseSpectrum, bins: slice, sqzs: np.ndarray) -> np.ndarr
         gap = np.abs(1.0 - s2)[:, None] * ((xj - xi) / (1.0 + xj)) / (s2[:, None] + xi)
         keyed = (gap > 4.0 * _KEY_GAP).all(1) & (s2 * a.min() >= _TINY)
         keyed &= sqzs * shot.min() >= _TINY
-        medians[keyed] = median(keyed, order[lo:hi + 1])
-    rest = np.flatnonzero(~keyed)
-    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
-    for start in range(0, len(rest), step):
-        medians[rest[start:start + step]] = median(rest[start:start + step], slice(None))
-    return medians
+        j = order[lo:hi + 1]
+        on = np.hypot(sqzs[keyed, None] * shot[j], tech[j])
+        medians = _row_medians(20.0 * np.log10(total[j] / on))
+    return medians, keyed

@@ -115,7 +115,9 @@ class IfoConfig:
         tech_name = "tech_displacement_asd / arm_length_eff at anchor_freq_hz"
         tech_keys = ("tech_displacement_asd", "arm_length_eff", "anchor_freq_hz", "tech_corner_hz")
         tech_power = _squared(tech_name, tech, *tech_keys)
-        shot_power = _squared("anchor_asd", self.anchor_asd, "anchor_asd") - tech_power
+        anchor_power = _squared("anchor_asd", self.anchor_asd, "anchor_asd")
+        require(anchor_power > 0.0, "anchor_asd", self.anchor_asd, "must square to a positive float")
+        shot_power = anchor_power - tech_power
         rule = f"must exceed the technical-noise envelope ({tech!r}) at {self.anchor_freq_hz!r} Hz"
         related = ("anchor_freq_hz", "tech_displacement_asd", "tech_corner_hz", "arm_length_eff")
         require(shot_power > 0.0, "anchor_asd", self.anchor_asd, rule, *related)

@@ -2,8 +2,8 @@
 
 All numbers are written with 9 significant digits and all JSON keys are
 sorted, so identical runs produce byte-identical files. ``to_json``,
-``_csv``, ``ledger_csv`` and ``sweep_csv`` apply that rule, so the
-emitters hand them raw values. ``_csv`` writes the spectra's array
+``budget_csv``, ``ledger_csv`` and ``sweep_csv`` apply that rule, so the
+emitters hand them raw values. ``budget_csv`` writes the spectra's array
 through ``_numfmt.format_rows``, which computes each cell's ``%.9g``
 digits with numpy array operations, three 8-byte words per cell, and
 hands any row holding a cell it cannot prove exact (NaN, inf, extreme
@@ -11,7 +11,7 @@ magnitudes, near-ties) back to ``%``. It cuts a table into chunks of
 about 16,384 cells (2048 rows of the spectra), makes two or more on up
 to two threads and joins them in order, so the bytes do not depend on
 the thread count. The spectra of a run on a float grid, which must not
-load numpy, are a list of rows written with one ``%`` row template, the
+load numpy, are written row by row with one ``%`` row template, the
 one ``format_rows`` applies to the rows it cannot prove exact; so is
 the ledger, which has a text column. A sweep's columns are interleaved
 into one ``%`` template, whose text also lays out ``sweep.json``'s rows,
@@ -45,19 +45,6 @@ def fmt9(value: float) -> str:
     return f"{float(value):.9g}"
 
 
-def _csv(head: Sequence[str], rows) -> str:
-    """Header lines, then one comma-joined line per row.
-
-    ``rows`` is a 2-D float array or a list of equal-length rows of
-    numbers, each written as ``fmt9`` would write it.
-    """
-    head = [line + "\n" for line in head]
-    if isinstance(rows, list):
-        template = ",".join(["%.9g"] * len(rows[0])) + "\n" if rows else ""
-        return "".join(head + [template % tuple(row) for row in rows])
-    return "".join(head + format_rows(rows))
-
-
 def budget_csv(report: BudgetReport) -> str:
     """Spectra table: one row per grid point.
 
@@ -66,21 +53,24 @@ def budget_csv(report: BudgetReport) -> str:
     (strain * arm_length_eff, m/sqrt(Hz)).
     """
     arm = report.run.ifo.arm_length_eff
-    head = [
-        "# strain noise budget",
-        f"# {DB_CONVENTIONS}",
+    head = (
+        "# strain noise budget\n"
+        f"# {DB_CONVENTIONS}\n"
         "# disp columns: total strain referred to displacement "
-        "(strain * arm_length_eff, m/sqrt(Hz))",
-        "f_hz,asd_off,asd_on,improvement_db,shot_off,tech,disp_off,disp_on",
-    ]
+        "(strain * arm_length_eff, m/sqrt(Hz))\n"
+        "f_hz,asd_off,asd_on,improvement_db,shot_off,tech,disp_off,disp_on\n"
+    )
     off = report.spectrum_off
     on = report.spectrum_on
     columns = (off.grid.values, off.total, on.total, report.improvement_db, off.quantum, off.tech)
     if isinstance(off.total, tuple):  # a float grid's spectra
-        return _csv(head, [(*row, row[1] * arm, row[2] * arm) for row in zip(*columns)])
+        template = ",".join(["%.9g"] * 8) + "\n"
+        rows = zip(*columns, [t * arm for t in off.total], [t * arm for t in on.total])
+        return head + "".join([template % row for row in rows])
     import numpy as np
 
-    return _csv(head, np.column_stack(columns + (off.total * arm, on.total * arm)))
+    table = np.column_stack(columns + (off.total * arm, on.total * arm))
+    return head + "".join(format_rows(table))
 
 
 def ledger_csv(rows: Sequence[DegradationRow], eta_effective: float | None = None) -> str:

@@ -346,32 +346,49 @@ class TestGridMemo:
             for name in ("broadband_improvement_db", "shot_limited_improvement_db", "rate_gain"):
                 assert getattr(row, name).hex() == getattr(report, name).hex()
 
-    # Bands too wide for _BLOCK_ROWS rows of _BLOCK_CELLS: blocks of two rows and of one.
     @pytest.mark.parametrize("grid_points", [20000, 60000])
     @pytest.mark.parametrize("axis", ["eta", "injected_db", "sigma"])
-    def test_a_wide_band_takes_smaller_blocks_with_the_same_bits(self, axis, grid_points):
+    def test_a_wide_band_gives_each_row_its_reports_bits(self, axis, grid_points):
         run = RunConfig(grid_points=grid_points, band_min_hz=100.0)
-        band = budget._band_bins(run.grid().values, (run.band_min_hz, run.band_max_hz))
-        assert (band.stop - band.start) * budget._BLOCK_ROWS > budget._BLOCK_CELLS
         values = [0.3, 0.62, 0.9] if axis == "eta" else [0.0, 3.0, 20.0]
         assert_rows_equal_fresh_reports(run, axis, values, sweep(run, axis, values))
 
-    # Factors within about 1e-12 of 1 leave every key near 1, so every row
-    # falls back to its whole band: in blocks of two rows and of one here.
-    @pytest.mark.parametrize("grid_points, blocks", [(20000, [2, 2, 1]), (60000, [1] * 5)])
-    def test_fallback_rows_of_a_wide_band_take_smaller_blocks_with_the_same_bits(
-        self, grid_points, blocks, monkeypatch
-    ):
+    # Factors within about 1e-12 of 1 leave every key near 1, so the median
+    # bins of 0, 1e-12 and 2e-12 dB are not proved: each such value takes one
+    # report of its own, in list order, and the 3 and 10 dB values none.
+    @pytest.mark.parametrize("grid_points", [20000, 60000])
+    def test_each_unproved_value_of_a_wide_band_takes_one_report(self, grid_points, monkeypatch):
         run = RunConfig(grid_points=grid_points, band_min_hz=100.0, sigma_jitter_rad=0.0)
-        shapes, row_medians = [], budget._row_medians
-        monkeypatch.setattr(budget, "_row_medians", lambda b: shapes.append(b.shape) or row_medians(b))
-        values = [0.0, 0.0, 1e-12, 2e-12, 0.0]
+        reports, report = [], build_report
+        monkeypatch.setattr(budget, "build_report", lambda *a: reports.append(report(*a)) or reports[-1])
+        values = [0.0, 3.0, 0.0, 1e-12, 2e-12, 10.0, 0.0]
         rows = sweep(run, "injected_db", values)
-        band = budget._band_bins(run.grid().values, (run.band_min_hz, run.band_max_hz))
-        assert shapes[0][0] == 0, "no keyed row"
-        assert shapes[1:] == [(rows_in_block, band.stop - band.start) for rows_in_block in blocks]
+        unproved = [values[i] for i in (0, 2, 3, 4, 6)]
+        assert [r.run for r in reports] == [budget._run_at(run, "injected_db", v) for v in unproved]
         monkeypatch.undo()
         assert_rows_equal_fresh_reports(run, "injected_db", values, rows)
+
+    # With no technical part every band key is 0: they all tie, so no value's
+    # median bins are proved and each takes one report. One that is invalid
+    # still raises its own error, after the reports of the values before it.
+    @pytest.mark.parametrize(
+        "axis, values", [("eta", [0.3, 0.62, 0.9]), ("injected_db", [0.0, 3.0, 20.0]),
+                         ("sigma", [0.0, 0.05, 0.3])],
+    )
+    def test_a_sweep_without_technical_noise_takes_one_report_per_value(
+        self, axis, values, monkeypatch
+    ):
+        run = RunConfig(ifo=IfoConfig(tech_displacement_asd=0.0))
+        reports, report = [], build_report
+        monkeypatch.setattr(budget, "build_report", lambda *a: reports.append(report(*a)) or reports[-1])
+        rows = sweep(run, axis, values)
+        assert [r.run for r in reports] == [budget._run_at(run, axis, v) for v in values]
+        reports.clear()
+        with pytest.raises(DomainError, match=rf"^sweep {axis} value \[2\]: "):
+            sweep(run, axis, values[:2] + [-1.0])
+        assert len(reports) == 2
+        monkeypatch.undo()
+        assert_rows_equal_fresh_reports(run, axis, values, rows)
 
 
 class TestRateGain:

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, file outputs, streams."""
 
+import io
 import json
 import os
 import subprocess
@@ -602,6 +603,33 @@ class TestPreset:
         code = main(["budget", "--config", str(tmp_path / "missing.cfg")])
         assert code == EXIT_CONFIG
         assert "\x1b[" not in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("no_color", [None, "1"])
+    def test_a_tty_stderr_gets_a_red_prefix_unless_no_color(self, no_color, tmp_path, monkeypatch):
+        class Tty(io.StringIO):
+            def isatty(self):
+                return True
+
+        if no_color is None:
+            monkeypatch.delenv("NO_COLOR", raising=False)
+        else:
+            monkeypatch.setenv("NO_COLOR", no_color)
+        monkeypatch.setattr(sys, "stderr", Tty())
+        assert main(["budget", "--config", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
+        prefix = "error: " if no_color else "\x1b[31merror:\x1b[0m "
+        text = sys.stderr.getvalue()
+        assert text.startswith(prefix) and "\x1b[" not in text[len(prefix):]
+
+    def test_a_broken_pipe_on_stdout_is_reported_and_exits_2(self, capsys, monkeypatch):
+        # As in `sqzbudget preset | true`, where the reader has gone.
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["preset"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestNumpyFreeStart:

@@ -202,6 +202,8 @@ class TestRejection:
         ("f_max_hz = 8000\nanchor_freq_hz = 9000", "anchor_freq_hz", "[10.0, 8000.0]", "9000.0", 2),
         ("anchor_asd = 4.0e-23", "anchor_asd", "exceed the technical-noise", "4e-23", 1),
         ("# noisier\ntech_displacement_asd = 1e-16", "anchor_asd", "noise envelope", "1e-21", 2),
+        ("tech_displacement_asd = 0\nanchor_asd = 1e-162", "anchor_asd",
+         "must square to a positive float", "1e-162", 2),
         # finite values whose derived quantities leave the float range
         ("sr_pole_hz = 1e-200", "anchor_freq_hz / sr_pole_hz", "square to a finite", "3e+203", 1),
         ("anchor_freq_hz = 1e300", "sr_pole_hz", "square to a finite", "2.5000000000000002e+297", 1),

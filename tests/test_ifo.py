@@ -47,6 +47,17 @@ class TestAnchoring:
         with pytest.raises(DomainError):
             IfoConfig(anchor_asd=4.0e-23)  # tech at 3 kHz is ~4.54e-23
 
+    # anchor_asd**2 underflows to 0, so no technical level lies below it.
+    @pytest.mark.parametrize("tech", [0.0, 1e-172])  # envelopes 0 and 4.5e-177 at 3 kHz
+    @pytest.mark.parametrize("anchor", [1e-162, 1e-170])
+    def test_an_anchor_whose_square_underflows_has_its_own_rule(self, anchor, tech):
+        with pytest.raises(DomainError) as info:
+            IfoConfig(anchor_asd=anchor, tech_displacement_asd=tech)
+        rule = "violates bound: must square to a positive float"
+        assert str(info.value) == f"anchor_asd = {anchor!r} {rule}"
+        assert info.value.keys == ("anchor_asd",)
+        assert IfoConfig(anchor_asd=1.5e-154, tech_displacement_asd=0.0).anchor_asd == 1.5e-154
+
     def test_validation_rejects_nonpositive_fields(self):
         with pytest.raises(DomainError):
             IfoConfig(arm_length_eff=0.0)

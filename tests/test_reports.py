@@ -113,7 +113,7 @@ def test_csv_matches_the_per_cell_writer(rows, chunk_cells, as_array):
     saved = _numfmt._CHUNK_CELLS
     _numfmt._CHUNK_CELLS = chunk_cells  # cross chunk boundaries on small tables
     try:
-        assert report_module._csv(head, rows) == expected
+        assert "# a table\na,b\n" + "".join(format_rows(rows)) == expected
     finally:
         _numfmt._CHUNK_CELLS = saved
 
@@ -159,7 +159,7 @@ def test_csv_without_rows_is_its_header():
         "# sweep axis: eta\n"
         "value,broadband_improvement_db,shot_limited_improvement_db,rate_gain\n"
     )
-    assert report_module._csv(["# a table", "a,b,c"], np.empty((0, 3))) == "# a table\na,b,c\n"
+    assert "".join(format_rows(np.empty((0, 3)))) == "".join(format_rows([])) == ""
 
 
 def _np_log10(value):
@@ -201,6 +201,12 @@ def test_polyline_points_match_the_per_point_writer(case):
     py = [_place_per_point(ax_y, y) for y in ys]
     expected = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in zip(px, py))
     assert "".join(*_points(placed_x, [placed_y])) == expected
+
+
+def test_float_points_yield_one_chunk_per_curve_and_then_stop():
+    # A float grid's x is a list: each y's text is one %-written chunk.
+    curves = list(_points([1.0, 20.5], [[3.0, 4.125], [1e4, -0.005]]))
+    assert curves == [["1.00,3.00 20.50,4.12"], ["1.00,10000.00 20.50,-0.01"]]
 
 
 def _kernel(values):
@@ -427,9 +433,8 @@ def test_csv_array_with_fallback_rows_on_a_chunk_boundary():
     table[chunk - 1, 1] = math.nan  # last row of the first chunk
     table[chunk, 0] = 123456789.5  # first row of the second: a tie
     table[chunk + 2, 2] = 1e300  # outside the fast range
-    head = ["# a table", "a,b,c"]
-    expected = _csv_per_cell(head, [tuple(row) for row in table.tolist()])
-    assert report_module._csv(head, table) == expected
+    expected = _csv_per_cell(["# a table", "a,b,c"], [tuple(row) for row in table.tolist()])
+    assert "# a table\na,b,c\n" + "".join(format_rows(table)) == expected
 
 
 def test_traces_sharing_an_x_array_render_like_distinct_copies(monkeypatch):
